@@ -20,6 +20,8 @@ import bisect
 
 import numpy as np
 
+from ..core.overlap import rank_topk
+
 
 class JosieIndex:
     def __init__(self, datasets: dict[int, np.ndarray]):
@@ -120,8 +122,4 @@ class JosieIndex:
             counts[idx] += 1
             seen[idx] = True
         hit = seen & (counts > 0)
-        scored = sorted(
-            ((int(d), int(o)) for d, o in zip(all_ids[hit], counts[hit])),
-            key=lambda t: (-t[1], t[0]),
-        )
-        return scored[:k]
+        return rank_topk(((int(d), int(o)) for d, o in zip(all_ids[hit], counts[hit])), k)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.overlap import rank_topk
 from ..grid import z_decode_np
 
 
@@ -164,12 +165,11 @@ class QuadTreeIndex:
         if not parts:
             return []
         ids, counts = np.unique(np.concatenate(parts), return_counts=True)
-        scored = sorted(
+        return rank_topk(
             (
                 (int(d), int(o))
                 for d, o in zip(ids, counts)
                 if int(d) not in exclude and o > 0
             ),
-            key=lambda t: (-t[1], t[0]),
+            k,
         )
-        return scored[:k]

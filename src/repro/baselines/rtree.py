@@ -12,6 +12,7 @@ import numpy as np
 
 from ..geometry import mbr_intersects, mbr_union
 from ..core.node import DatasetNode
+from ..core.overlap import rank_topk
 
 
 def _area(r: np.ndarray) -> float:
@@ -191,5 +192,4 @@ class RTreeIndex:
             ov = int(np.intersect1d(q, nd.cells, assume_unique=True).size)
             if ov > 0:
                 scored.append((nd.id, ov))
-        scored.sort(key=lambda t: (-t[1], t[0]))
-        return scored[:k]
+        return rank_topk(scored, k)

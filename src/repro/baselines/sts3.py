@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.overlap import rank_topk
+
 
 class STS3Index:
     """cell ID -> list of dataset IDs containing it, over one data source."""
@@ -73,12 +75,11 @@ class STS3Index:
         if not parts:
             return []
         ids, counts = np.unique(np.concatenate(parts), return_counts=True)
-        scored = sorted(
+        return rank_topk(
             (
                 (int(d), int(o))
                 for d, o in zip(ids, counts)
                 if int(d) not in exclude and o > 0
             ),
-            key=lambda t: (-t[1], t[0]),
+            k,
         )
-        return scored[:k]

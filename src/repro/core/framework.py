@@ -30,7 +30,7 @@ from .coverage import _pick_best, find_connect_set
 from .dits_global import RootSummary, build_global_index, candidate_sources
 from .dits_local import iter_dataset_nodes
 from .node import DatasetNode
-from .overlap import query_node_from_cells
+from .overlap import query_node_from_cells, rank_topk
 from .update import DitsLocalIndex
 
 
@@ -168,6 +168,8 @@ class DataCenter:
     ) -> tuple[list[tuple[int, int]], CommLog]:
         comm = comm if comm is not None else CommLog()
         query_cells = np.unique(np.asarray(query_cells, dtype=np.int64))
+        if k <= 0 or len(query_cells) == 0:
+            return [], comm
         if use_global:
             rect, o, r = self._query_lonlat_geom(query_cells)
             cands = candidate_sources(self.global_root, rect, o, r, -1.0)
@@ -184,8 +186,7 @@ class DataCenter:
             res = src.local_overlap(sent, k, exclude)
             comm.send(src.name, "center", "ojsp-results", len(res) * RESULT_ROW_BYTES)
             merged.extend(res)
-        merged.sort(key=lambda t: (-t[1], t[0]))
-        return merged[:k], comm
+        return rank_topk(merged, k), comm
 
     # -- CJSP (§VI-C over §VI-A distribution) ------------------------------
     def coverage_search(
@@ -203,6 +204,8 @@ class DataCenter:
         covered: set[int] = {int(c) for c in np.asarray(query_cells, dtype=np.int64)}
         taken: set[int] = set(exclude)
         result: list[tuple[int, int]] = []
+        if not covered:
+            return result, comm
         for _ in range(k):
             merged_arr = np.fromiter(covered, dtype=np.int64)
             if strategy == "sg":

@@ -21,6 +21,17 @@ from ..geometry import mbr_intersects
 from .node import DatasetNode, LeafNode
 
 
+def rank_key(row) -> tuple[int, int]:
+    """Sort key of the repo-wide order on ``(dataset_id, score, ...)`` rows:
+    higher score first, then the smaller dataset id."""
+    return -row[1], row[0]
+
+
+def rank_topk(rows, k: int) -> list:
+    """The first ``k`` of ``rows`` under :func:`rank_key`; [] for k <= 0."""
+    return sorted(rows, key=rank_key)[: max(k, 0)]
+
+
 def overlap_of(a: np.ndarray, b: np.ndarray) -> int:
     """|S_a ∩ S_b| for two sorted cell-ID arrays."""
     return int(np.intersect1d(a, b, assume_unique=True).size)
@@ -39,9 +50,7 @@ def brute_force_topk(
         for did, cells in datasets.items()
         if did not in exclude
     ]
-    scored = [(d, o) for d, o in scored if o > 0]
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return scored[:k]
+    return rank_topk([(d, o) for d, o in scored if o > 0], k)
 
 
 def _matched_key_idx(leaf: LeafNode, query_cells: np.ndarray) -> np.ndarray:
@@ -104,8 +113,11 @@ def overlap_search(
 ) -> list[tuple[int, int]]:
     """Algorithm 2: exact top-k by overlap using DITS-L.
 
-    Returns [(dataset_id, overlap)] sorted by (-overlap, id), overlap > 0.
+    Returns [(dataset_id, overlap)] sorted by (-overlap, id), overlap > 0;
+    [] for k <= 0.
     """
+    if k <= 0:
+        return []
     q_rect = query_node.rect
     q_cells = query_node.cells
 
@@ -142,9 +154,7 @@ def overlap_search(
                 heapq.heappush(heap, entry)
             elif entry > heap[0]:
                 heapq.heapreplace(heap, entry)
-    out = [(did, ov) for ov, _nid, did in heap if ov > 0]
-    out.sort(key=lambda t: (-t[1], t[0]))
-    return out
+    return rank_topk([(did, ov) for ov, _nid, did in heap if ov > 0], k)
 
 
 def query_node_from_cells(cells: np.ndarray, theta: int) -> DatasetNode:

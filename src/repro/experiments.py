@@ -53,7 +53,7 @@ class Workbench:
 
     @classmethod
     def make(cls, scale: float, cap: int = 300, seed: int = 7) -> "Workbench":
-        return cls(generate_corpus_pdf(scale=scale, max_points_per_dataset=cap), scale)
+        return cls(generate_corpus_pdf(scale=scale, seed=seed, max_points_per_dataset=cap), scale)
 
     def corpus(self, theta: int) -> dict[str, dict[int, np.ndarray]]:
         if theta not in self._cells:

@@ -10,14 +10,30 @@ Executors play the data sources, the driver plays the data center:
   returned root summaries are "each source sends its root node to the data
   center", from which the driver builds DITS-G.
 - :func:`distributed_overlap_search` / :func:`distributed_coverage_search`
-  — DITS-G prunes candidate sources on the driver, the *clipped* query
-  ships to per-source `mapInPandas` tasks which run the local search
-  algorithms, and results aggregate back with DataFrame ops.
+  — DITS-G prunes candidate sources and the query is clipped per source on
+  the driver. Each round (one per OJSP query, one per CJSP greedy
+  iteration) is then one Spark job of a single stage with no exchange: the
+  per-source ``(path, clipped cells)`` tasks are spread over at most one
+  partition per core, each partition runs the local search against its
+  sources' persisted DITS-L, and the driver merges the replies. OJSP
+  replies are each source's top-k rows, merged under ``(-overlap,
+  dataset_id)``; a CJSP reply is each source's best ``(id, gain, cells)``,
+  merged under (max gain, min id), so the winner's cells arrive with it and
+  the driver never opens an index file an executor wrote.
+
+Why this shape: on ``local[4]`` a JVM-only job costs about 30 ms and one
+wave of Python tasks about 200 ms, while the local search takes a few
+milliseconds. Latency is set by the count of jobs, shuffle stages and waves
+of Python tasks, so each round keeps all three at one: a DataFrame plan
+(``repartition`` by source, then a window top-k) pays two shuffles, that
+is two more stages, and more partitions than cores pay a second wave.
 """
 from __future__ import annotations
 
 import os
 import pickle
+import uuid
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -28,7 +44,7 @@ from .core.coverage import _pick_best, find_connect_set
 from .core.dits_global import GlobalNode, RootSummary, build_global_index, candidate_sources
 from .core.framework import clip_cells_to_summary, delta_to_deg, query_lonlat_geom
 from .core.node import DatasetNode
-from .core.overlap import query_node_from_cells
+from .core.overlap import query_node_from_cells, rank_key, rank_topk
 from .core.update import DitsLocalIndex
 from .grid import Bounds
 
@@ -61,16 +77,20 @@ def overlap_topk_sql(
     )
 
 
-_INDEX_CACHE: dict[str, DitsLocalIndex] = {}
+# Per worker process: {out_dir/source_id: (path, index)}. Every build writes
+# ``<source_id>.<build token>.pkl``, so a rebuild into the same directory
+# reaches the workers as a new path and replaces the source's one entry.
+_INDEX_CACHE: dict[str, tuple[str, DitsLocalIndex]] = {}
 
 
 def _load_index(path: str) -> DitsLocalIndex:
-    idx = _INDEX_CACHE.get(path)
-    if idx is None:
+    slot = path.rsplit(".", 2)[0]  # out_dir/source_id
+    hit = _INDEX_CACHE.get(slot)
+    if hit is None or hit[0] != path:
         with open(path, "rb") as fh:
-            idx = pickle.load(fh)
-        _INDEX_CACHE[path] = idx
-    return idx
+            hit = (path, pickle.load(fh))
+        _INDEX_CACHE[slot] = hit
+    return hit[1]
 
 
 def build_distributed_index(
@@ -83,9 +103,11 @@ def build_distributed_index(
     """Build every source's DITS-L inside Spark tasks; DITS-G on the driver.
 
     ``cells_df``: (source_id, dataset_id, cell) rows. Returns the global
-    index, {source_id: RootSummary} and {source_id: pickle path}.
+    index, {source_id: RootSummary} and {source_id: pickle path}. A rebuild
+    into the same ``out_dir`` deletes the files of the builds it supersedes.
     """
     os.makedirs(out_dir, exist_ok=True)
+    build_token = uuid.uuid4().hex
     schema = (
         "source_id string, n_datasets long, gx0 double, gy0 double, "
         "gx1 double, gy1 double, path string"
@@ -98,9 +120,15 @@ def build_distributed_index(
             for did, g in pdf.groupby("dataset_id")
         }
         idx = DitsLocalIndex(datasets, theta, f)
-        path = os.path.join(out_dir, f"{sid}.pkl")
+        name = f"{sid}.{build_token}.pkl"
+        path = os.path.join(out_dir, name)
         with open(path, "wb") as fh:
             pickle.dump(idx, fh)
+        # Drop this source's superseded builds (the file name rule of
+        # _load_index, inlined so the task does not import this module).
+        for old in os.listdir(out_dir):
+            if old != name and old.endswith(".pkl") and old.rsplit(".", 2)[0] == sid:
+                os.remove(os.path.join(out_dir, old))
         r = idx.root.rect
         return pd.DataFrame(
             [
@@ -132,6 +160,34 @@ def build_distributed_index(
     return groot, summaries, paths
 
 
+def _run_round(spark: SparkSession, tasks: list[tuple[str, np.ndarray]], search) -> list:
+    """One search round: a single-stage job over the per-source tasks.
+
+    At most one partition per core, so the Python tasks run in one wave.
+    ``search`` maps one partition's tasks to replies, which come back to
+    the driver unmerged.
+    """
+    sc = spark.sparkContext
+    n = min(len(tasks), sc.defaultParallelism)
+    return sc.parallelize(tasks, n).mapPartitions(search).collect()
+
+
+def _overlap_replies(theta: int, k: int, exclude: frozenset[int], tasks):
+    """Executor side of an OJSP round: each source's local top-k rows."""
+    for path, cells in tasks:
+        yield from _load_index(path).search_overlap(query_node_from_cells(cells, theta), k, exclude)
+
+
+def _coverage_replies(theta: int, delta: float, taken: frozenset[int], tasks):
+    """Executor side of a CJSP round: each source's best (id, gain, cells)."""
+    for path, cells in tasks:
+        found: list[DatasetNode] = []
+        find_connect_set(_load_index(path).root, DatasetNode(-1, cells, theta), delta, found)
+        best, gain = _pick_best(found, {int(c) for c in cells}, taken)
+        if best is not None:
+            yield best.id, gain, best.cells
+
+
 def distributed_overlap_search(
     spark: SparkSession,
     groot: GlobalNode,
@@ -145,39 +201,18 @@ def distributed_overlap_search(
 ) -> list[tuple[int, int]]:
     """OJSP over the distributed index; equals the driver-side framework."""
     query_cells = np.unique(np.asarray(query_cells, dtype=np.int64))
+    if k <= 0 or len(query_cells) == 0:
+        return []
     rect, o, r = query_lonlat_geom(query_cells, bounds, theta)
-    cands = candidate_sources(groot, rect, o, r, -1.0)
     tasks = []
-    for s in cands:
+    for s in candidate_sources(groot, rect, o, r, -1.0):
         clipped = clip_cells_to_summary(query_cells, s, 0.0, bounds, theta)
         if len(clipped):
-            tasks.append((s.source_id, paths[s.source_id], [int(c) for c in clipped]))
+            tasks.append((paths[s.source_id], clipped))
     if not tasks:
         return []
-    tasks_df = spark.createDataFrame(
-        pd.DataFrame(tasks, columns=["source_id", "path", "cells"])
-    ).repartition(len(tasks), "source_id")
     excl = frozenset(int(e) for e in exclude)
-
-    def run(batches):
-        for pdf in batches:
-            out = []
-            for row in pdf.itertuples(index=False):
-                idx = _load_index(row.path)
-                qn = query_node_from_cells(np.asarray(row.cells, dtype=np.int64), theta)
-                for did, ov in idx.search_overlap(qn, k, excl):
-                    out.append((did, ov))
-            yield pd.DataFrame(out, columns=["dataset_id", "overlap"])
-
-    res = tasks_df.mapInPandas(run, "dataset_id long, overlap long")
-    w = Window.orderBy(F.desc("overlap"), F.asc("dataset_id"))
-    top = (
-        res.withColumn("rank", F.row_number().over(w))
-        .filter(F.col("rank") <= k)
-        .drop("rank")
-        .collect()
-    )
-    return [(int(r["dataset_id"]), int(r["overlap"])) for r in top]
+    return rank_topk(_run_round(spark, tasks, partial(_overlap_replies, theta, k, excl)), k)
 
 
 def distributed_coverage_search(
@@ -197,52 +232,23 @@ def distributed_coverage_search(
     taken = set(int(e) for e in exclude)
     result: list[tuple[int, int]] = []
     pad = delta_to_deg(delta, bounds, theta)
+    if not covered:
+        return result
     for _ in range(k):
         merged = np.fromiter(covered, dtype=np.int64)
         rect, o, r = query_lonlat_geom(merged, bounds, theta)
-        cands = candidate_sources(groot, rect, o, r, pad)
         tasks = []
-        for s in cands:
+        for s in candidate_sources(groot, rect, o, r, pad):
             clipped = clip_cells_to_summary(merged, s, pad, bounds, theta)
             if len(clipped):
-                tasks.append(
-                    (s.source_id, paths[s.source_id], [int(c) for c in clipped])
-                )
+                tasks.append((paths[s.source_id], clipped))
         if not tasks:
             break
-        tasks_df = spark.createDataFrame(
-            pd.DataFrame(tasks, columns=["source_id", "path", "cells"])
-        ).repartition(len(tasks), "source_id")
-        taken_now = frozenset(taken)
-
-        def run(batches):
-            for pdf in batches:
-                out = []
-                for row in pdf.itertuples(index=False):
-                    idx = _load_index(row.path)
-                    cells = np.asarray(row.cells, dtype=np.int64)
-                    merged_node = DatasetNode(-1, cells, theta)
-                    found: list[DatasetNode] = []
-                    find_connect_set(idx.root, merged_node, delta, found)
-                    best, tau = _pick_best(
-                        found, {int(c) for c in cells}, set(taken_now)
-                    )
-                    if best is not None:
-                        out.append((row.source_id, best.id, tau))
-                yield pd.DataFrame(out, columns=["source_id", "dataset_id", "gain"])
-
-        rows = tasks_df.mapInPandas(
-            run, "source_id string, dataset_id long, gain long"
-        ).collect()
-        best = None  # (gain, id, source)
-        for row in rows:
-            g, did = int(row["gain"]), int(row["dataset_id"])
-            if best is None or g > best[0] or (g == best[0] and did < best[1]):
-                best = (g, did, row["source_id"])
-        if best is None:
+        search = partial(_coverage_replies, theta, delta, frozenset(taken))
+        replies = _run_round(spark, tasks, search)
+        if not replies:
             break
-        gain, did, sid = best
-        cells_won = _load_index(paths[sid])._nodes[did].cells
+        did, gain, cells_won = min(replies, key=rank_key)
         covered.update(int(c) for c in cells_won)
         taken.add(did)
         result.append((did, gain))

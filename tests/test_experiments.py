@@ -1,5 +1,8 @@
 """The experiment harness itself: every figNN function produces the
 paper-shaped table (methods x parameter values) on a miniature corpus."""
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro import experiments as E
@@ -24,6 +27,17 @@ class TestWorkbench:
 
     def test_queries_deterministic(self, wb):
         assert wb.queries(5) == wb.queries(5)
+
+    def test_make_uses_its_seed(self):
+        def digest(seed):
+            pts = E.Workbench.make(0.004, cap=60, seed=seed).points
+            h = hashlib.sha256()
+            for c in ("dataset_id", "x", "y"):
+                h.update(np.ascontiguousarray(pts[c].to_numpy()).tobytes())
+            return h.hexdigest()
+
+        assert digest(7) == digest(7)
+        assert digest(7) != digest(8)
 
 
 class TestTables:

@@ -127,3 +127,23 @@ class TestDataSource:
         src = DataSource("t", {1: np.array([0])}, 6, 4, SPACE)
         far = np.array([4095])  # opposite corner of the theta=6 grid
         assert src.best_coverage_candidate(far, 1.0, set(), True) is None
+
+
+class TestDegenerateInputs:
+    CASES = pytest.mark.parametrize(
+        "k, empty", [(0, False), (-1, False), (10, True)], ids=["k0", "k-1", "empty-query"]
+    )
+
+    @staticmethod
+    def _query(union_datasets, query_ids, empty):
+        return np.empty(0, dtype=np.int64) if empty else union_datasets[query_ids[0]]
+
+    @CASES
+    def test_overlap_search(self, center, union_datasets, query_ids, k, empty):
+        res, comm = center.overlap_search(self._query(union_datasets, query_ids, empty), k)
+        assert res == [] and comm.n_messages == 0
+
+    @CASES
+    def test_coverage_search(self, center, union_datasets, query_ids, k, empty):
+        res, comm = center.coverage_search(self._query(union_datasets, query_ids, empty), 5, k)
+        assert res == [] and comm.n_messages == 0

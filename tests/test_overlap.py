@@ -114,6 +114,12 @@ class TestOverlapSearch:
             ex = frozenset([qid])
             assert dits.search_overlap(qn, k, ex) == brute_force_topk(q, union_datasets, k, ex)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_not_positive_is_empty(self, union_datasets, dits, query_ids, k):
+        q = union_datasets[query_ids[0]]
+        assert overlap_search(dits.root, query_node_from_cells(q, THETA), k) == []
+        assert brute_force_topk(q, union_datasets, k) == []
+
     def test_self_query_has_full_overlap(self, union_datasets, dits, query_ids):
         qid = query_ids[0]
         q = union_datasets[qid]

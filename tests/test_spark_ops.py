@@ -1,11 +1,16 @@
 """Distributed dataflow operators == driver-side algorithms, oracle-checked."""
+import os
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql.functions import col
 
 from repro import spark_ops
 from repro.baselines.greedy import SGCoverage
 from repro.cells import cell_sets_df
+from repro.core.coverage import is_connected_result
 from repro.core.overlap import brute_force_topk, query_node_from_cells
 from repro.oracle import assert_equivalent
 from repro.synth_spatial import SPACE
@@ -117,3 +122,157 @@ class TestDistributedSearch:
             spark, groot, summaries, paths, q, 10, SPACE, THETA
         )
         assert res == []
+
+
+def _jobs_run(spark, group, call):
+    """(call(), number of Spark jobs it ran), counted under a job group."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        out = call()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestSearchRounds:
+    def test_overlap_is_one_job(self, spark, dist_index, union_datasets, query_ids):
+        groot, summaries, paths = dist_index
+        qid = query_ids[0]
+        q = union_datasets[qid]
+        res, jobs = _jobs_run(
+            spark,
+            "test-ojsp-round",
+            lambda: spark_ops.distributed_overlap_search(
+                spark, groot, summaries, paths, q, 10, SPACE, THETA, (qid,)
+            ),
+        )
+        assert res and jobs == 1
+
+    def test_coverage_is_one_job_per_round(
+        self, spark, dist_index, union_datasets, query_ids
+    ):
+        groot, summaries, paths = dist_index
+        qid = query_ids[2]
+        q = union_datasets[qid]
+        k = 8
+        res, jobs = _jobs_run(
+            spark,
+            "test-cjsp-rounds",
+            lambda: spark_ops.distributed_coverage_search(
+                spark, groot, summaries, paths, q, 5, k, SPACE, THETA, (qid,)
+            ),
+        )
+        # Each pick took one round; a last round may find no candidate.
+        assert res and len(res) <= jobs <= min(k, len(res) + 1)
+
+    def test_driver_never_loads_an_index(
+        self, spark, dist_index, union_datasets, query_ids
+    ):
+        """Winner cells come back in the replies: in local mode the Python
+        workers are separate processes, so only a driver-side load could
+        fill the driver's cache."""
+        groot, summaries, paths = dist_index
+        qid = query_ids[2]
+        q = union_datasets[qid]
+        spark_ops._INDEX_CACHE.clear()
+        cov = spark_ops.distributed_coverage_search(
+            spark, groot, summaries, paths, q, 5, 8, SPACE, THETA, (qid,)
+        )
+        top = spark_ops.distributed_overlap_search(
+            spark, groot, summaries, paths, q, 10, SPACE, THETA, (qid,)
+        )
+        assert cov and top
+        assert spark_ops._INDEX_CACHE == {}
+
+
+class TestDistributedEqualsDataCenter:
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_overlap(self, spark, dist_index, center, union_datasets, query_ids, k):
+        groot, summaries, paths = dist_index
+        for qid in query_ids:
+            q = union_datasets[qid]
+            got = spark_ops.distributed_overlap_search(
+                spark, groot, summaries, paths, q, k, SPACE, THETA, (qid,)
+            )
+            want, _ = center.overlap_search(q, k, frozenset([qid]))
+            assert got == want, qid
+
+    @pytest.mark.parametrize("delta", [0, 5, 20])
+    def test_coverage(
+        self, spark, dist_index, center, union_datasets, query_ids, delta
+    ):
+        groot, summaries, paths = dist_index
+        for qid in query_ids:
+            q = union_datasets[qid]
+            got = spark_ops.distributed_coverage_search(
+                spark, groot, summaries, paths, q, delta, 8, SPACE, THETA, (qid,)
+            )
+            want, _ = center.coverage_search(q, delta, 8, frozenset([qid]), strategy="merge")
+            assert got == want, qid
+            ids = [d for d, _ in got]
+            assert is_connected_result(ids, union_datasets, q, delta, THETA), qid
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize(
+        "k, empty", [(0, False), (-1, False), (10, True)], ids=["k0", "k-1", "empty-query"]
+    )
+    @pytest.mark.parametrize("search", ["overlap", "coverage"])
+    def test_empty_answer_without_a_job(
+        self, spark, dist_index, union_datasets, query_ids, search, k, empty
+    ):
+        groot, summaries, paths = dist_index
+        qid = query_ids[0]
+        q = np.empty(0, dtype=np.int64) if empty else union_datasets[qid]
+        if search == "overlap":
+            call = lambda: spark_ops.distributed_overlap_search(  # noqa: E731
+                spark, groot, summaries, paths, q, k, SPACE, THETA, (qid,)
+            )
+        else:
+            call = lambda: spark_ops.distributed_coverage_search(  # noqa: E731
+                spark, groot, summaries, paths, q, 5, k, SPACE, THETA, (qid,)
+            )
+        res, jobs = _jobs_run(spark, f"test-degenerate-{search}-{k}-{empty}", call)
+        assert res == [] and jobs == 0
+
+
+class TestRebuild:
+    def test_rebuild_into_same_dir_is_seen(
+        self, spark, tmp_path, cells_sdf, union_datasets, query_ids
+    ):
+        """Python workers keep their cached indexes across jobs; a rebuild
+        into the same directory must still be searched, not the first build."""
+        out = str(tmp_path)
+        qid = query_ids[0]
+        q = union_datasets[qid]
+        ex = frozenset([qid])
+        first = spark_ops.build_distributed_index(cells_sdf, SPACE, THETA, F, out)
+        first_paths = list(first[2].values())
+        # Every worker caches every source of the first build.
+        spark.sparkContext.parallelize(range(32), 32).foreach(
+            lambda _: [spark_ops._load_index(p) for p in first_paths]
+        )
+        got = spark_ops.distributed_overlap_search(spark, *first, q, 10, SPACE, THETA, (qid,))
+        assert got and got == brute_force_topk(q, union_datasets, 10, ex)
+
+        removed = [d for d, _ in got[:3]]
+        kept = {d: c for d, c in union_datasets.items() if d not in removed}
+        second = spark_ops.build_distributed_index(
+            cells_sdf.filter(~col("dataset_id").isin(removed)), SPACE, THETA, F, out
+        )
+        for _ in range(3):
+            got = spark_ops.distributed_overlap_search(spark, *second, q, 10, SPACE, THETA, (qid,))
+            assert got == brute_force_topk(q, kept, 10, ex)
+        # One index file per source: the rebuild replaced the first build's.
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in second[2].values())
+
+    def test_cache_keeps_one_entry_per_source(self, tmp_path, dits):
+        spark_ops._INDEX_CACHE.clear()
+        for build in ("a", "b"):
+            path = str(tmp_path / f"src.{build}.pkl")
+            with open(path, "wb") as fh:
+                pickle.dump(dits, fh)
+            spark_ops._load_index(path)
+            assert [p for p, _ in spark_ops._INDEX_CACHE.values()] == [path]
+        spark_ops._INDEX_CACHE.clear()
