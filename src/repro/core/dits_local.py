@@ -60,7 +60,13 @@ def build_local_index(
 def build_dits_l(
     datasets: dict[int, np.ndarray], theta: int, f: int
 ) -> InternalNode | LeafNode:
-    """Convenience wrapper: {dataset_id: cells} -> DITS-L root."""
+    """Convenience wrapper: {dataset_id: cells} -> DITS-L root.
+
+    No datasets give an empty root leaf, the root an index keeps after
+    deleting every dataset: searches find nothing and inserts fill it.
+    """
+    if not datasets:
+        return LeafNode(np.zeros(4), [], f)
     return build_local_index(build_dataset_nodes(datasets, theta), f)
 
 

@@ -1,8 +1,18 @@
-"""Multi-source joinable search framework (paper §IV, §VI-A).
+"""Multi-source joinable search (paper §IV, §VI-A): one distribution
+protocol, two transports.
 
-A :class:`DataCenter` holds DITS-G built from the root summaries the
-:class:`DataSource` objects send up; searches run in rounds of
-center→source messages whose payloads are metered by :class:`~repro.comm.CommLog`.
+The protocol: :meth:`Directory.route` prunes sources with DITS-G, clips the
+query per source and drops sources left with no cells; each routed source
+answers with the :class:`DataSource` kernels over its own DITS-L; the
+center merges the replies. :func:`ojsp_protocol` is one round merged under
+``(-overlap, dataset_id)``. :func:`cjsp_protocol` is one round per greedy
+pick, won under (max gain, min id), whose cells join the next round's query.
+
+A transport is a per-round callable that takes the ``(source_id, cells)``
+tasks and returns the replies. :class:`DataCenter` is the in-process one:
+it calls its sources directly and meters every message on a
+:class:`~repro.comm.CommLog`. :mod:`repro.spark_ops` runs each round as one
+Spark job over persisted :class:`DataSource` objects.
 
 Query-distribution strategies (the knobs behind Figs 13/14, 19/20):
 
@@ -18,28 +28,28 @@ Local CJSP selection strategies mirror the paper's three competitors:
 ``"merge"`` (CoverageSearch: one index search on the merged node),
 ``"sg_dits"`` (index-accelerated greedy, full query sent), and ``"sg"``
 (index-free exact scan, full query broadcast to all sources).
+
+All sources share the center's grid, and a dataset ID names one dataset
+in one source: results are keyed by dataset ID alone.
 """
 from __future__ import annotations
+
+from functools import partial
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ..comm import CELL_BYTES, ID_BYTES, RESULT_ROW_BYTES, SCALAR_BYTES, CommLog
 from ..geometry import min_cell_distance
-from ..grid import Bounds, cell_ids_np, cells_to_lonlat_center
+from ..grid import Bounds, cells_to_lonlat_center
 from .coverage import _pick_best, find_connect_set
-from .dits_global import RootSummary, build_global_index, candidate_sources
+from .dits_global import GlobalNode, RootSummary, build_global_index, candidate_sources
 from .dits_local import iter_dataset_nodes
 from .node import DatasetNode
-from .overlap import query_node_from_cells, rank_topk
+from .overlap import query_node_from_cells, rank_key, rank_topk
 from .update import DitsLocalIndex
 
-
-def recode_cells(cells: np.ndarray, bounds: Bounds, theta_from: int, theta_to: int) -> np.ndarray:
-    """Re-encode cell IDs between resolutions via cell centers (§V-B)."""
-    if theta_from == theta_to:
-        return np.asarray(cells, dtype=np.int64)
-    x, y = cells_to_lonlat_center(np.asarray(cells, dtype=np.int64), bounds, theta_from)
-    return np.unique(cell_ids_np(x, y, bounds, theta_to))
+Task = tuple[str, np.ndarray]  # (source_id, the cells sent to it)
 
 
 def query_lonlat_geom(cells: np.ndarray, bounds: Bounds, theta: int):
@@ -72,6 +82,81 @@ def delta_to_deg(delta: float, bounds: Bounds, theta: int) -> float:
     return delta * max(nu, mu)
 
 
+def check_unique_ids(ids_by_source: dict[str, Iterable[int]]) -> None:
+    """Raise ``ValueError`` if two sources hold the same dataset ID."""
+    owner: dict[int, str] = {}
+    for sid, ids in ids_by_source.items():
+        for did in ids:
+            other = owner.setdefault(int(did), sid)
+            if other != sid:
+                raise ValueError(f"dataset {int(did)} is held by sources {other!r} and {sid!r}")
+
+
+class Directory(NamedTuple):
+    """What the center knows of its sources: DITS-G over their root
+    summaries, and the grid the query cells are read in."""
+
+    groot: GlobalNode
+    summaries: dict[str, RootSummary]
+    bounds: Bounds
+    theta: int
+
+    def route(self, cells: np.ndarray, delta_deg: float, prune: bool, clip: bool) -> list[Task]:
+        """One round's tasks, in source-id order. ``delta_deg < 0`` routes
+        OJSP (MBR intersection), otherwise CJSP (within ``delta_deg``);
+        ``prune=False`` broadcasts, ``clip=False`` sends every cell."""
+        if prune:
+            rect, o, r = query_lonlat_geom(cells, self.bounds, self.theta)
+            cands = candidate_sources(self.groot, rect, o, r, delta_deg)
+        else:
+            cands = sorted(self.summaries.values(), key=lambda s: s.source_id)
+        pad = max(delta_deg, 0.0)
+        tasks = []
+        for s in cands:
+            sent = clip_cells_to_summary(cells, s, pad, self.bounds, self.theta) if clip else cells
+            if len(sent):
+                tasks.append((s.source_id, sent))
+        return tasks
+
+
+def ojsp_protocol(
+    d: Directory, ask, query_cells, k: int, *, prune=True, clip=True
+) -> list[tuple[int, int]]:
+    """OJSP (§VI-B): one round. ``ask(tasks)`` returns every routed
+    source's top-k ``(dataset_id, overlap)`` rows."""
+    query_cells = np.unique(np.asarray(query_cells, dtype=np.int64))
+    if k <= 0 or len(query_cells) == 0:
+        return []
+    tasks = d.route(query_cells, -1.0, prune, clip)
+    return rank_topk(ask(tasks), k) if tasks else []
+
+
+def cjsp_protocol(
+    d: Directory, ask, query_cells, delta: float, k: int, exclude,
+    *, prune=True, clip=True, picked=None,
+) -> list[tuple[int, int]]:
+    """CJSP greedy (§VI-C): one round per pick. ``ask(tasks, taken)``
+    returns each routed source's best connected ``(dataset_id, gain,
+    cells)`` outside ``taken``; ``picked(dataset_id, cells)``, if given,
+    sees each winner."""
+    covered = {int(c) for c in np.asarray(query_cells, dtype=np.int64)}
+    taken = {int(e) for e in exclude}
+    result: list[tuple[int, int]] = []
+    delta_deg = delta_to_deg(delta, d.bounds, d.theta)
+    for _ in range(k if covered else 0):
+        tasks = d.route(np.fromiter(covered, dtype=np.int64), delta_deg, prune, clip)
+        replies = ask(tasks, frozenset(taken)) if tasks else []
+        if not replies:
+            break
+        did, gain, cells = min(replies, key=rank_key)
+        if picked is not None:
+            picked(did, cells)
+        covered.update(int(c) for c in cells)
+        taken.add(did)
+        result.append((did, gain))
+    return result
+
+
 class DataSource:
     """One autonomous data source: its datasets plus its own DITS-L."""
 
@@ -97,9 +182,6 @@ class DataSource:
     def contains(self, dataset_id: int) -> bool:
         return dataset_id in self.index._nodes
 
-    def get_cells(self, dataset_id: int) -> np.ndarray:
-        return self.index._nodes[dataset_id].cells
-
     def local_overlap(self, query_cells: np.ndarray, k: int, exclude: frozenset[int]):
         if len(query_cells) == 0 or len(self.index) == 0:
             return []
@@ -110,10 +192,10 @@ class DataSource:
         self,
         covered_cells: np.ndarray,
         delta: float,
-        taken: set[int],
+        taken: frozenset[int],
         use_index: bool,
-    ) -> tuple[int, int, int] | None:
-        """One greedy round, locally: (dataset_id, gain, |S_D|) or None."""
+    ) -> tuple[int, int, np.ndarray] | None:
+        """One greedy round, locally: (dataset_id, gain, cells) or None."""
         if len(covered_cells) == 0 or len(self.index) == 0:
             return None
         merged = DatasetNode(-1, covered_cells, self.theta)
@@ -130,32 +212,61 @@ class DataSource:
         best, tau = _pick_best(cands, covered, taken)
         if best is None:
             return None
-        return best.id, tau, best.size
+        return best.id, tau, best.cells
 
 
 class DataCenter:
-    """The coordinator: holds DITS-G and runs the two search protocols."""
+    """The coordinator: holds DITS-G and runs the protocol in process,
+    metering every message of the paper's byte model."""
 
     def __init__(self, sources: list[DataSource], f_global: int = 10):
+        if not any(len(s.index) for s in sources):
+            raise ValueError("a data center needs at least one dataset")
+        theta, bounds = sources[0].theta, sources[0].bounds
+        for s in sources:
+            if (s.theta, s.bounds) != (theta, bounds):
+                raise ValueError(
+                    f"source {s.name!r} uses θ={s.theta} over {s.bounds}; "
+                    f"the center uses θ={theta} over {bounds}"
+                )
+        check_unique_ids({s.name: s.index.datasets for s in sources})
         self.sources = {s.name: s for s in sources}
-        self.summaries = {s.name: s.summary() for s in sources}
-        self.global_root = build_global_index(list(self.summaries.values()), f_global)
-        # The center interprets raw queries at this resolution/space.
-        any_src = sources[0]
-        self.theta = any_src.theta
-        self.bounds = any_src.bounds
+        # A source with no datasets has no root to summarise: DITS-G leaves
+        # it out, so no round ever contacts it.
+        self.summaries = {s.name: s.summary() for s in sources if len(s.index)}
+        groot = build_global_index(list(self.summaries.values()), f_global)
+        self.directory = Directory(groot, self.summaries, bounds, theta)
 
-    # -- helpers ----------------------------------------------------------
-    def _query_lonlat_geom(self, cells: np.ndarray):
-        return query_lonlat_geom(cells, self.bounds, self.theta)
+    # -- the in-process transport -------------------------------------------
+    def _ask_overlap(self, comm: CommLog, k: int, exclude, tasks):
+        rows: list[tuple[int, int]] = []
+        for sid, cells in tasks:
+            comm.send("center", sid, "ojsp-query", len(cells) * CELL_BYTES + 2 * SCALAR_BYTES)
+            res = self.sources[sid].local_overlap(cells, k, exclude)
+            comm.send(sid, "center", "ojsp-results", len(res) * RESULT_ROW_BYTES)
+            rows.extend(res)
+        return rows
 
-    def _clip_to_summary(self, cells: np.ndarray, s: RootSummary, pad_deg: float) -> np.ndarray:
-        return clip_cells_to_summary(cells, s, pad_deg, self.bounds, self.theta)
+    def _ask_coverage(self, comm: CommLog, delta: float, use_index: bool, tasks, taken):
+        replies = []
+        for sid, cells in tasks:
+            src = self.sources[sid]
+            n_taken = sum(map(src.contains, taken))
+            payload = len(cells) * CELL_BYTES + n_taken * ID_BYTES + 3 * SCALAR_BYTES
+            comm.send("center", sid, "cjsp-query", payload)
+            reply = src.best_coverage_candidate(cells, delta, taken, use_index)
+            comm.send(sid, "center", "cjsp-best", 3 * SCALAR_BYTES)
+            if reply is not None:
+                replies.append(reply)
+        return replies
 
-    def _delta_deg(self, delta: float) -> float:
-        return delta_to_deg(delta, self.bounds, self.theta)
+    def _fetch(self, comm: CommLog, dataset_id: int, cells: np.ndarray) -> None:
+        """The byte model ships only the winner's cells, on a fetch."""
+        sid = next(n for n, s in self.sources.items() if s.contains(dataset_id))
+        comm.send("center", sid, "cjsp-fetch", ID_BYTES)
+        comm.send(sid, "center", "cjsp-cells", len(cells) * CELL_BYTES)
 
-    # -- OJSP (§VI-B over §VI-A distribution) ------------------------------
+    # -- OJSP and CJSP ----------------------------------------------------
     def overlap_search(
         self,
         query_cells: np.ndarray,
@@ -167,28 +278,9 @@ class DataCenter:
         comm: CommLog | None = None,
     ) -> tuple[list[tuple[int, int]], CommLog]:
         comm = comm if comm is not None else CommLog()
-        query_cells = np.unique(np.asarray(query_cells, dtype=np.int64))
-        if k <= 0 or len(query_cells) == 0:
-            return [], comm
-        if use_global:
-            rect, o, r = self._query_lonlat_geom(query_cells)
-            cands = candidate_sources(self.global_root, rect, o, r, -1.0)
-        else:
-            cands = sorted(self.summaries.values(), key=lambda s: s.source_id)
-        merged: list[tuple[int, int]] = []
-        for s in cands:
-            src = self.sources[s.source_id]
-            cells = self._clip_to_summary(query_cells, s, 0.0) if clip else query_cells
-            if clip and len(cells) == 0:
-                continue
-            sent = recode_cells(cells, self.bounds, self.theta, src.theta)
-            comm.send("center", src.name, "ojsp-query", len(sent) * CELL_BYTES + 2 * SCALAR_BYTES)
-            res = src.local_overlap(sent, k, exclude)
-            comm.send(src.name, "center", "ojsp-results", len(res) * RESULT_ROW_BYTES)
-            merged.extend(res)
-        return rank_topk(merged, k), comm
+        ask = partial(self._ask_overlap, comm, k, exclude)
+        return ojsp_protocol(self.directory, ask, query_cells, k, prune=use_global, clip=clip), comm
 
-    # -- CJSP (§VI-C over §VI-A distribution) ------------------------------
     def coverage_search(
         self,
         query_cells: np.ndarray,
@@ -201,55 +293,11 @@ class DataCenter:
     ) -> tuple[list[tuple[int, int]], CommLog]:
         assert strategy in ("merge", "sg_dits", "sg")
         comm = comm if comm is not None else CommLog()
-        covered: set[int] = {int(c) for c in np.asarray(query_cells, dtype=np.int64)}
-        taken: set[int] = set(exclude)
-        result: list[tuple[int, int]] = []
-        if not covered:
-            return result, comm
-        for _ in range(k):
-            merged_arr = np.fromiter(covered, dtype=np.int64)
-            if strategy == "sg":
-                cands = sorted(self.summaries.values(), key=lambda s: s.source_id)
-            else:
-                rect, o, r = self._query_lonlat_geom(merged_arr)
-                cands = candidate_sources(
-                    self.global_root, rect, o, r, self._delta_deg(delta)
-                )
-            best: tuple[int, int, str] | None = None  # (gain, id, source)
-            for s in cands:
-                src = self.sources[s.source_id]
-                if strategy == "merge":
-                    cells = self._clip_to_summary(merged_arr, s, self._delta_deg(delta))
-                    if len(cells) == 0:
-                        continue
-                else:
-                    cells = merged_arr
-                sent = recode_cells(cells, self.bounds, self.theta, src.theta)
-                taken_here = [d for d in taken if src.contains(d)]
-                comm.send(
-                    "center",
-                    src.name,
-                    "cjsp-query",
-                    len(sent) * CELL_BYTES + len(taken_here) * ID_BYTES + 3 * SCALAR_BYTES,
-                )
-                reply = src.best_coverage_candidate(
-                    sent, delta, taken, use_index=(strategy != "sg")
-                )
-                comm.send(src.name, "center", "cjsp-best", 3 * SCALAR_BYTES)
-                if reply is None:
-                    continue
-                did, gain, _size = reply
-                if best is None or gain > best[0] or (gain == best[0] and did < best[1]):
-                    best = (gain, did, src.name)
-            if best is None:
-                break
-            gain, did, sname = best
-            comm.send("center", sname, "cjsp-fetch", ID_BYTES)
-            cells_won = self.sources[sname].get_cells(did)
-            comm.send(sname, "center", "cjsp-cells", len(cells_won) * CELL_BYTES)
-            covered.update(int(c) for c in cells_won)
-            taken.add(did)
-            result.append((did, gain))
+        ask = partial(self._ask_coverage, comm, delta, strategy != "sg")
+        result = cjsp_protocol(
+            self.directory, ask, query_cells, delta, k, exclude,
+            prune=strategy != "sg", clip=strategy == "merge", picked=partial(self._fetch, comm),
+        )
         return result, comm
 
 

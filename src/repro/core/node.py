@@ -20,12 +20,11 @@ from ..geometry import (
 class DatasetNode:
     """Def. 12: one spatial dataset as an index entry."""
 
-    __slots__ = ("id", "rect", "o", "r", "cells", "cell_set", "coords", "pa")
+    __slots__ = ("id", "rect", "o", "r", "cells", "coords", "pa")
 
     def __init__(self, dataset_id: int, cells: np.ndarray, theta: int):
         self.id = int(dataset_id)
         self.cells = np.sort(np.asarray(cells, dtype=np.int64))
-        self.cell_set = frozenset(int(c) for c in self.cells)
         self.coords = cell_coords(self.cells, theta)
         self.rect = mbr_of_coords(self.coords)
         self.o = pivot_of_mbr(self.rect)

@@ -59,7 +59,6 @@ class TestDatasetNode:
         assert nd.rect.tolist() == [1.0, 2.0, 1.0, 3.0]
         assert nd.o.tolist() == [1.0, 2.5]
         assert nd.r == pytest.approx(0.5)
-        assert nd.cell_set == {9, 11}
 
     def test_cells_sorted_and_unique_input_preserved(self):
         nd = DatasetNode(0, np.array([11, 9]), 2)

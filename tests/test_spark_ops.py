@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql.functions import col
+from pyspark.sql.functions import col, lit
 
 from repro import spark_ops
 from repro.baselines.greedy import SGCoverage
@@ -75,14 +75,27 @@ class TestDistributedBuild:
     def test_persisted_indexes_load_and_match(self, dist_index, corpus):
         _groot, _summaries, paths = dist_index
         for name, path in paths.items():
-            idx = spark_ops._load_index(path)
-            assert sorted(idx.datasets) == sorted(corpus[name])
+            src = spark_ops._load_index(path)
+            assert src.name == name
+            assert sorted(src.index.datasets) == sorted(corpus[name])
 
     def test_summary_rects_match_driver_side(self, dist_index, center):
         _groot, summaries, _paths = dist_index
         for name, s in summaries.items():
             expect = center.summaries[name]
             assert np.allclose(s.rect, expect.rect)
+
+    def test_dataset_id_in_two_sources_is_rejected(self, tmp_path, cells_sdf, union_datasets):
+        did = min(union_datasets)
+        twice = cells_sdf.union(
+            cells_sdf.filter(col("dataset_id") == did).withColumn("source_id", lit("copy"))
+        )
+        with pytest.raises(ValueError, match=f"dataset {did}"):
+            spark_ops.build_distributed_index(twice, SPACE, THETA, F, str(tmp_path))
+
+    def test_no_rows_is_rejected(self, tmp_path, cells_sdf):
+        with pytest.raises(ValueError):
+            spark_ops.build_distributed_index(cells_sdf.limit(0), SPACE, THETA, F, str(tmp_path))
 
 
 class TestDistributedSearch:
