@@ -8,7 +8,6 @@ match) and the CJSP greedy picks.
 """
 import os
 import sys
-import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
@@ -27,26 +26,23 @@ def main(spark: SparkSession) -> None:
     points = spark.createDataFrame(pdf)
     cells = cell_sets_df(points, SPACE, theta).cache()
     union = {d: c for s in cell_sets_from_pdf(pdf, SPACE, theta).values() for d, c in s.items()}
-    with tempfile.TemporaryDirectory() as td:
-        groot, summaries, paths = spark_ops.build_distributed_index(
-            cells, SPACE, theta, f, td
+    groot, summaries, sources = spark_ops.build_distributed_index(cells, SPACE, theta, f)
+    print(f"built {len(summaries)} per-source DITS-L indexes in Spark tasks")
+    for qid in pick_queries(pdf, 3):
+        q = union[qid]
+        top = spark_ops.distributed_overlap_search(
+            spark, groot, summaries, sources, q, k, SPACE, theta, (qid,)
         )
-        print(f"built {len(summaries)} per-source DITS-L indexes in Spark tasks")
-        for qid in pick_queries(pdf, 3):
-            q = union[qid]
-            top = spark_ops.distributed_overlap_search(
-                spark, groot, summaries, paths, q, k, SPACE, theta, (qid,)
-            )
-            qdf = spark.createDataFrame(pd.DataFrame({"cell": q}))
-            sql_top = [
-                (int(r["dataset_id"]), int(r["overlap"]))
-                for r in spark_ops.overlap_topk_sql(spark, qdf, cells, k, (qid,)).collect()
-            ]
-            assert top == sql_top, "distributed index result != SQL operator result"
-            cov = spark_ops.distributed_coverage_search(
-                spark, groot, summaries, paths, q, delta, k, SPACE, theta, (qid,)
-            )
-            print(f"query {qid}: top-{k} overlap {top[:3]}..., coverage picks {cov[:3]}...")
+        qdf = spark.createDataFrame(pd.DataFrame({"cell": q}))
+        sql_top = [
+            (int(r["dataset_id"]), int(r["overlap"]))
+            for r in spark_ops.overlap_topk_sql(spark, qdf, cells, k, (qid,)).collect()
+        ]
+        assert top == sql_top, "distributed index result != SQL operator result"
+        cov = spark_ops.distributed_coverage_search(
+            spark, groot, summaries, sources, q, delta, k, SPACE, theta, (qid,)
+        )
+        print(f"query {qid}: top-{k} overlap {top[:3]}..., coverage picks {cov[:3]}...")
     print("distributed search OK")
 
 

@@ -31,35 +31,6 @@ def cell_sets_df(points: DataFrame, bounds: Bounds, theta: int) -> DataFrame:
     )
 
 
-def dataset_summaries_df(points: DataFrame, bounds: Bounds, theta: int) -> DataFrame:
-    """Per-dataset cell-set cardinality and grid-coordinate MBR, in Spark.
-
-    Returns (source_id, dataset_id, n_cells, xmin, ymin, xmax, ymax) where
-    the MBR is over grid coordinates of the dataset's cells.
-    """
-    cells = cell_sets_df(points, bounds, theta)
-    # Decode X (even bits) and Y (odd bits) with column expressions.
-    from functools import reduce
-
-    def decode(col, offset):
-        parts = [
-            F.shiftleft(F.shiftright(col, 2 * i + offset).bitwiseAND(F.lit(1)), i)
-            for i in range(theta)
-        ]
-        return reduce(lambda a, b: a.bitwiseOR(b), parts)
-
-    with_xy = cells.withColumn("X", decode(F.col("cell"), 0)).withColumn(
-        "Y", decode(F.col("cell"), 1)
-    )
-    return with_xy.groupBy("source_id", "dataset_id").agg(
-        F.countDistinct("cell").alias("n_cells"),
-        F.min("X").alias("xmin"),
-        F.min("Y").alias("ymin"),
-        F.max("X").alias("xmax"),
-        F.max("Y").alias("ymax"),
-    )
-
-
 def collect_cell_sets(
     points: DataFrame, bounds: Bounds, theta: int
 ) -> dict[str, dict[int, np.ndarray]]:

@@ -9,13 +9,12 @@ the serialized payloads of every message with a simple wire model:
 - one cell ID: 8 bytes; one dataset ID: 8 bytes; one (id, score) result
   row: 16 bytes; scalar parameters: 8 bytes each.
 
-Transmission time = total bytes / bandwidth (the paper's stated model).
+Transmission time = total bytes / ``params.BANDWIDTH_BYTES_PER_S`` (the
+paper's stated model), computed by the experiments.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .params import BANDWIDTH_BYTES_PER_S
 
 HEADER_BYTES = 64
 CELL_BYTES = 8
@@ -48,9 +47,6 @@ class CommLog:
     @property
     def n_messages(self) -> int:
         return len(self.messages)
-
-    def transmission_time(self, bandwidth: float = BANDWIDTH_BYTES_PER_S) -> float:
-        return self.total_bytes / bandwidth
 
     def bytes_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}

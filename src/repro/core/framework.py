@@ -41,7 +41,7 @@ import numpy as np
 
 from ..comm import CELL_BYTES, ID_BYTES, RESULT_ROW_BYTES, SCALAR_BYTES, CommLog
 from ..geometry import min_cell_distance
-from ..grid import Bounds, cells_to_lonlat_center
+from ..grid import Bounds, cells_to_lonlat_center, check_cells
 from .coverage import _pick_best, find_connect_set
 from .dits_global import GlobalNode, RootSummary, build_global_index, candidate_sources
 from .dits_local import iter_dataset_nodes
@@ -125,6 +125,7 @@ def ojsp_protocol(
     """OJSP (§VI-B): one round. ``ask(tasks)`` returns every routed
     source's top-k ``(dataset_id, overlap)`` rows."""
     query_cells = np.unique(np.asarray(query_cells, dtype=np.int64))
+    check_cells(query_cells, d.theta)
     if k <= 0 or len(query_cells) == 0:
         return []
     tasks = d.route(query_cells, -1.0, prune, clip)
@@ -139,7 +140,9 @@ def cjsp_protocol(
     returns each routed source's best connected ``(dataset_id, gain,
     cells)`` outside ``taken``; ``picked(dataset_id, cells)``, if given,
     sees each winner."""
-    covered = {int(c) for c in np.asarray(query_cells, dtype=np.int64)}
+    query_cells = np.unique(np.asarray(query_cells, dtype=np.int64))
+    check_cells(query_cells, d.theta)
+    covered = {int(c) for c in query_cells}
     taken = {int(e) for e in exclude}
     result: list[tuple[int, int]] = []
     delta_deg = delta_to_deg(delta, d.bounds, d.theta)

@@ -15,6 +15,7 @@ from ..geometry import (
     pivot_of_mbr,
     radius_of_mbr,
 )
+from ..grid import check_cells
 
 
 class DatasetNode:
@@ -25,6 +26,7 @@ class DatasetNode:
     def __init__(self, dataset_id: int, cells: np.ndarray, theta: int):
         self.id = int(dataset_id)
         self.cells = np.sort(np.asarray(cells, dtype=np.int64))
+        check_cells(self.cells, theta)
         self.coords = cell_coords(self.cells, theta)
         self.rect = mbr_of_coords(self.coords)
         self.o = pivot_of_mbr(self.rect)
@@ -58,15 +60,16 @@ class InternalNode:
 
 
 class LeafNode:
-    """Def. 14: leaf holding ≤ f dataset nodes plus an inverted index
-    ``inv``: cell ID -> list of child dataset IDs containing that cell.
+    """Def. 14: leaf holding ≤ f dataset nodes plus an inverted index from
+    cell ID to the child dataset IDs containing that cell.
 
-    Alongside the dict form, the leaf keeps a CSR mirror (``keys``,
-    ``plen``, ``indptr``, ``post``) so OverlapSearch's bound computation
+    The inverted index is kept in CSR form: sorted ``keys`` with posting
+    lengths ``plen``, and the postings of ``keys[i]`` in
+    ``post[indptr[i]:indptr[i + 1]]``, so OverlapSearch's bound computation
     and verification are vectorized numpy operations.
     """
 
-    __slots__ = ("rect", "o", "r", "ch", "_inv", "f", "pa", "keys", "plen", "indptr", "post")
+    __slots__ = ("rect", "o", "r", "ch", "f", "pa", "keys", "plen", "indptr", "post")
 
     def __init__(self, rect: np.ndarray, children: list[DatasetNode], f: int):
         self.rect = rect
@@ -87,7 +90,6 @@ class LeafNode:
         """
         for nd in self.ch:
             nd.pa = self
-        self._inv = None
         if not self.ch:
             self.keys = np.empty(0, dtype=np.int64)
             self.plen = np.empty(0, dtype=np.int64)
@@ -104,17 +106,6 @@ class LeafNode:
         np.cumsum(self.plen, out=indptr[1:])
         self.indptr = indptr
         self.post = all_ids[order]
-
-    @property
-    def inv(self) -> dict[int, list[int]]:
-        """Dict view of the CSR postings (built lazily; used by tests and
-        by code that inspects the index, not by the search hot path)."""
-        if self._inv is None:
-            self._inv = {
-                int(c): self.post[self.indptr[i] : self.indptr[i + 1]].tolist()
-                for i, c in enumerate(self.keys)
-            }
-        return self._inv
 
     @property
     def is_leaf(self) -> bool:

@@ -98,13 +98,6 @@ def _verify_matched(leaf: LeafNode, m: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.unique(ids, return_counts=True)
 
 
-def _verify_leaf(leaf: LeafNode, query_cells: np.ndarray) -> dict[int, int]:
-    """Exact |S_Q ∩ S_D| for every child of ``leaf`` with overlap > 0,
-    by scanning the posting lists of the query's matched cells (CSR form)."""
-    ids, cnts = _verify_matched(leaf, _matched_key_idx(leaf, query_cells))
-    return {int(d): int(c) for d, c in zip(ids, cnts)}
-
-
 def overlap_search(
     root,
     query_node: DatasetNode,

@@ -97,9 +97,14 @@ def cell_ids_np(x: np.ndarray, y: np.ndarray, bounds: Bounds, theta: int) -> np.
     return z_encode_np(X, Y, theta)
 
 
-def cells_of_points(x, y, bounds: Bounds, theta: int) -> np.ndarray:
-    """The *cell-based dataset* of a point set: sorted distinct cell IDs."""
-    return np.unique(cell_ids_np(np.asarray(x), np.asarray(y), bounds, theta))
+def check_cells(sorted_cells: np.ndarray, theta: int) -> None:
+    """Raise ``ValueError`` unless every cell ID of the *sorted* array lies
+    on the ``2^theta x 2^theta`` grid, that is in ``[0, 4^theta)``."""
+    if len(sorted_cells) and (sorted_cells[0] < 0 or int(sorted_cells[-1]) >= 1 << (2 * theta)):
+        raise ValueError(
+            f"cells [{int(sorted_cells[0])}, {int(sorted_cells[-1])}] fall outside "
+            f"the θ={theta} grid, whose cell IDs are 0..{(1 << (2 * theta)) - 1}"
+        )
 
 
 # --------------------------------------------------------------------------

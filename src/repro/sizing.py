@@ -36,9 +36,7 @@ def dits_bytes(root) -> int:
         total += NODE_BASE + MBR_BYTES + PIVOT_BYTES + 2 * PTR_BYTES
         if node.is_leaf:
             total += sum(_dataset_node_bytes(nd) for nd in node.ch)
-            total += sum(
-                ID_BYTES + len(pl) * ID_BYTES for pl in node.inv.values()
-            )
+            total += (len(node.keys) + len(node.post)) * ID_BYTES
         else:
             stack.append(node.left)
             stack.append(node.right)

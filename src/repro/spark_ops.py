@@ -7,16 +7,18 @@ Executors play the data sources, the driver plays the data center:
   the relational reference the index algorithms are checked against.
 - :func:`build_distributed_index` — `applyInPandas` per ``source_id``
   builds each source's :class:`~repro.core.framework.DataSource` inside its
-  own task and persists it; the returned root summaries are "each source
-  sends its root node to the data center", from which the driver builds
-  DITS-G.
+  own task and returns it pickled, next to its root summary ("each source
+  sends its root node to the data center"), from which the driver builds
+  DITS-G. The driver ships each source, still pickled, as one Spark
+  broadcast: no file is written and no shared filesystem is needed.
 - :func:`distributed_overlap_search` / :func:`distributed_coverage_search`
   — the protocol of :mod:`repro.core.framework`, run on the driver, with
   each round carried by one Spark job of a single stage and no exchange.
-  The per-source ``(path, cells)`` tasks fill at most one partition per
-  core, and each partition runs the ``DataSource`` kernels the in-process
-  center runs. A CJSP reply carries the candidate's cells, so the driver
-  never opens a file an executor wrote.
+  The per-source ``(source_id, cells)`` tasks fill at most one partition
+  per core, and each partition runs the ``DataSource`` kernels the
+  in-process center runs on the broadcast sources, which each Python
+  worker unpickles on first use. A CJSP reply carries the candidate's
+  cells.
 
 Why this shape: on ``local[4]`` a JVM-only job costs about 30 ms and one
 wave of Python tasks about 200 ms, while the local search takes a few
@@ -27,13 +29,12 @@ is two more stages, and more partitions than cores pay a second wave.
 """
 from __future__ import annotations
 
-import os
 import pickle
-import uuid
 from functools import partial
 
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
@@ -70,21 +71,14 @@ def overlap_topk_sql(
     )
 
 
-# Per worker process: {out_dir/source_id: (path, source)}. Every build writes
-# ``<source_id>.<build token>.pkl``, so a rebuild into the same directory
-# reaches the workers as a new path and replaces the source's one entry.
-_INDEX_CACHE: dict[str, tuple[str, DataSource]] = {}
+class _Pickled:
+    """Pickles as the object its bytes encode, without decoding them."""
 
+    def __init__(self, blob: bytes):
+        self.blob = blob
 
-def _load_index(path: str) -> DataSource:
-    """The persisted source (with its DITS-L) at ``path``, cached per worker."""
-    slot = path.rsplit(".", 2)[0]  # out_dir/source_id
-    hit = _INDEX_CACHE.get(slot)
-    if hit is None or hit[0] != path:
-        with open(path, "rb") as fh:
-            hit = (path, pickle.load(fh))
-        _INDEX_CACHE[slot] = hit
-    return hit[1]
+    def __reduce__(self):
+        return pickle.loads, (self.blob,)
 
 
 def build_distributed_index(
@@ -92,21 +86,19 @@ def build_distributed_index(
     bounds: Bounds,
     theta: int,
     f: int,
-    out_dir: str,
-) -> tuple[GlobalNode, dict[str, RootSummary], dict[str, str]]:
+    out_dir: str | None = None,
+) -> tuple[GlobalNode, dict[str, RootSummary], dict[str, Broadcast]]:
     """Build every source's DITS-L inside Spark tasks; DITS-G on the driver.
 
     ``cells_df``: (source_id, dataset_id, cell) rows. Returns the global
-    index, {source_id: RootSummary} and {source_id: pickle path}. A rebuild
-    into the same ``out_dir`` deletes the files of the builds it supersedes.
-    Raises ``ValueError`` when there are no rows, or when two sources hold
-    the same dataset ID.
+    index, {source_id: RootSummary} and {source_id: Broadcast} whose
+    ``.value`` is the source's :class:`DataSource`. ``out_dir`` is ignored:
+    nothing is written. Raises ``ValueError`` when there are no rows, or
+    when two sources hold the same dataset ID.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    build_token = uuid.uuid4().hex
     schema = (
         "source_id string, n_datasets long, gx0 double, gy0 double, "
-        "gx1 double, gy1 double, path string, dataset_ids array<long>"
+        "gx1 double, gy1 double, dataset_ids array<long>, blob binary"
     )
 
     def build(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -116,15 +108,6 @@ def build_distributed_index(
             for did, g in pdf.groupby("dataset_id")
         }
         src = DataSource(sid, datasets, theta, f, bounds)
-        name = f"{sid}.{build_token}.pkl"
-        path = os.path.join(out_dir, name)
-        with open(path, "wb") as fh:
-            pickle.dump(src, fh)
-        # Drop this source's superseded builds (the file name rule of
-        # _load_index, inlined so the task does not import this module).
-        for old in os.listdir(out_dir):
-            if old != name and old.endswith(".pkl") and old.rsplit(".", 2)[0] == sid:
-                os.remove(os.path.join(out_dir, old))
         r = src.index.root.rect
         return pd.DataFrame(
             [
@@ -135,8 +118,8 @@ def build_distributed_index(
                     "gy0": float(r[1]),
                     "gx1": float(r[2]),
                     "gy1": float(r[3]),
-                    "path": path,
                     "dataset_ids": sorted(datasets),
+                    "blob": pickle.dumps(src),
                 }
             ]
         )
@@ -155,35 +138,37 @@ def build_distributed_index(
         )
         for r in rows
     }
-    paths = {r["source_id"]: r["path"] for r in rows}
+    sc = cells_df.sparkSession.sparkContext
+    sources = {r["source_id"]: sc.broadcast(_Pickled(r["blob"])) for r in rows}
     groot = build_global_index(sorted(summaries.values(), key=lambda s: s.source_id))
-    return groot, summaries, paths
+    return groot, summaries, sources
 
 
-def _run_round(spark: SparkSession, paths: dict[str, str], search, tasks) -> list:
+def _run_round(spark: SparkSession, sources: dict[str, Broadcast], search, tasks) -> list:
     """One protocol round: a single-stage job over the ``(source_id, cells)``
-    tasks, each sent to the source persisted at ``paths[source_id]``.
+    tasks, each answered by the broadcast source ``sources[source_id]``.
 
     At most one partition per core, so the Python tasks run in one wave.
-    ``search`` maps one partition's ``(path, cells)`` tasks to replies,
-    which come back to the driver unmerged.
+    ``search`` maps ``sources`` and one partition's tasks to replies, which
+    come back to the driver unmerged. Every task references every source:
+    a worker drops the broadcasts its current task does not reference, so
+    shipping only the routed ones would evict and reload the others.
     """
     sc = spark.sparkContext
     n = min(len(tasks), sc.defaultParallelism)
-    work = [(paths[sid], cells) for sid, cells in tasks]
-    return sc.parallelize(work, n).mapPartitions(search).collect()
+    return sc.parallelize(tasks, n).mapPartitions(partial(search, sources)).collect()
 
 
-def _overlap_replies(k: int, exclude: frozenset[int], tasks):
+def _overlap_replies(k: int, exclude: frozenset[int], sources, tasks):
     """Executor side of an OJSP round: each source's local top-k rows."""
-    for path, cells in tasks:
-        yield from _load_index(path).local_overlap(cells, k, exclude)
+    for sid, cells in tasks:
+        yield from sources[sid].value.local_overlap(cells, k, exclude)
 
 
-def _coverage_replies(delta: float, taken: frozenset[int], tasks):
+def _coverage_replies(delta: float, taken: frozenset[int], sources, tasks):
     """Executor side of a CJSP round: each source's best (id, gain, cells)."""
-    for path, cells in tasks:
-        reply = _load_index(path).best_coverage_candidate(cells, delta, taken, use_index=True)
+    for sid, cells in tasks:
+        reply = sources[sid].value.best_coverage_candidate(cells, delta, taken, use_index=True)
         if reply is not None:
             yield reply
 
@@ -192,7 +177,7 @@ def distributed_overlap_search(
     spark: SparkSession,
     groot: GlobalNode,
     summaries: dict[str, RootSummary],
-    paths: dict[str, str],
+    sources: dict[str, Broadcast],
     query_cells: np.ndarray,
     k: int,
     bounds: Bounds,
@@ -201,7 +186,7 @@ def distributed_overlap_search(
 ) -> list[tuple[int, int]]:
     """OJSP over the distributed index; equals the driver-side framework."""
     excl = frozenset(int(e) for e in exclude)
-    ask = partial(_run_round, spark, paths, partial(_overlap_replies, k, excl))
+    ask = partial(_run_round, spark, sources, partial(_overlap_replies, k, excl))
     return ojsp_protocol(Directory(groot, summaries, bounds, theta), ask, query_cells, k)
 
 
@@ -209,7 +194,7 @@ def distributed_coverage_search(
     spark: SparkSession,
     groot: GlobalNode,
     summaries: dict[str, RootSummary],
-    paths: dict[str, str],
+    sources: dict[str, Broadcast],
     query_cells: np.ndarray,
     delta: float,
     k: int,
@@ -220,6 +205,6 @@ def distributed_coverage_search(
     """CJSP greedy: one Spark job per iteration (the paper's round trips)."""
 
     def ask(tasks, taken):
-        return _run_round(spark, paths, partial(_coverage_replies, delta, taken), tasks)
+        return _run_round(spark, sources, partial(_coverage_replies, delta, taken), tasks)
 
     return cjsp_protocol(Directory(groot, summaries, bounds, theta), ask, query_cells, delta, k, exclude)

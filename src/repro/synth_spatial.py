@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from .grid import WORLD, Bounds
 
@@ -141,25 +140,6 @@ def generate_corpus_pdf(
             for i, s in enumerate(specs)
         ],
         ignore_index=True,
-    )
-
-
-def generate_corpus(
-    spark: SparkSession,
-    *,
-    scale: float = 0.01,
-    seed: int = 7,
-    specs: tuple[SourceSpec, ...] = SOURCE_SPECS,
-    max_points_per_dataset: int = 400,
-) -> DataFrame:
-    """All sources as a Spark DataFrame (source_id, dataset_id, x, y)."""
-    return spark.createDataFrame(
-        generate_corpus_pdf(
-            scale=scale,
-            seed=seed,
-            specs=specs,
-            max_points_per_dataset=max_points_per_dataset,
-        )
     )
 
 

@@ -7,7 +7,6 @@ from repro.cells import (
     cell_sets_df,
     cell_sets_from_pdf,
     collect_cell_sets,
-    dataset_summaries_df,
     with_cells,
 )
 from repro.grid import cell_ids_np
@@ -76,34 +75,3 @@ class TestCellSets:
             assert set(a[src]) == set(b[src])
             for did in a[src]:
                 assert np.array_equal(a[src][did], b[src][did])
-
-
-class TestSummaries:
-    def test_summaries_match_dataset_nodes(self, points_pdf, points_sdf):
-        from repro.core.node import DatasetNode
-
-        local = cell_sets_from_pdf(points_pdf, SPACE, THETA)
-        got = {
-            int(r["dataset_id"]): r
-            for r in dataset_summaries_df(points_sdf, SPACE, THETA).collect()
-        }
-        for src in local.values():
-            for did, cells in src.items():
-                nd = DatasetNode(did, cells, THETA)
-                row = got[did]
-                assert row["n_cells"] == len(cells)
-                assert [row["xmin"], row["ymin"], row["xmax"], row["ymax"]] == [
-                    int(v) for v in nd.rect
-                ]
-
-    def test_summaries_oracle(self, points_pdf, points_sdf):
-        sdf = dataset_summaries_df(points_sdf, SPACE, THETA).select(
-            "source_id", "dataset_id", "n_cells"
-        )
-        cells_pdf = cell_sets_df(points_sdf, SPACE, THETA).toPandas()
-        assert_equivalent(
-            sdf,
-            "SELECT source_id, dataset_id, COUNT(DISTINCT cell) AS n_cells "
-            "FROM cells GROUP BY source_id, dataset_id",
-            cells=cells_pdf,
-        )

@@ -28,20 +28,6 @@ class TestCommLog:
         assert log.total_bytes == 200 + 2 * HEADER_BYTES - 64  # 100+64 + 36+64
         assert log.bytes_by_kind() == {"x": 164, "y": 100}
 
-    def test_transmission_time_proportional_to_bytes(self):
-        log = CommLog()
-        log.send("a", "b", "x", 1000)
-        t1 = log.transmission_time()
-        log.send("a", "b", "x", 1000)
-        assert log.transmission_time() == pytest.approx(2 * t1)
-
-    def test_bandwidth_inverse(self):
-        log = CommLog()
-        log.send("a", "b", "x", 1000)
-        assert log.transmission_time(1e6) == pytest.approx(
-            10 * log.transmission_time(1e7)
-        )
-
 
 class TestSizing:
     @pytest.fixture(scope="class")

@@ -38,7 +38,11 @@ def _check_invariants(root, f):
         for nd in leaf.ch:
             for c in nd.cells:
                 expect.setdefault(int(c), []).append(nd.id)
-        assert leaf.inv == expect
+        got = {
+            int(c): leaf.post[leaf.indptr[i] : leaf.indptr[i + 1]].tolist()
+            for i, c in enumerate(leaf.keys)
+        }
+        assert got == expect
 
     def rec(node):
         if node.is_leaf:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import spark_ops
 from repro.baselines.greedy import SGCoverage
 from repro.core.coverage import is_connected_result
 from repro.core.framework import DataCenter, DataSource, clip_cells_to_summary, make_center
@@ -233,6 +234,37 @@ class TestCenterValidation:
             DataCenter([a, b])
 
 
+_PAST = 1 << (2 * THETA)  # the first cell ID past the θ=12 grid
+
+
+class TestOffGridCells:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: make_center({"a": {1: [5, _PAST]}, "b": {2: [6]}}, THETA, F, SPACE),
+            lambda c: DitsLocalIndex({1: [-3, 4]}, THETA, F),
+            lambda c: DitsLocalIndex({1: [5]}, THETA, F).insert(2, np.array([_PAST])),
+            lambda c: query_node_from_cells(np.array([_PAST]), THETA),
+            lambda c: c.overlap_search(np.array([1 << 40]), 10),
+            lambda c: c.overlap_search(np.array([-1, 5]), 10),
+            lambda c: c.coverage_search(np.array([1 << 40]), 5, 10),
+            lambda c: c.coverage_search(np.array([-1, 5]), 5, 10, strategy="sg"),
+        ],
+        ids=[
+            "make_center", "index-negative", "index-insert", "query-node",
+            "ojsp-past", "ojsp-negative", "cjsp-past", "cjsp-negative",
+        ],
+    )
+    def test_rejected(self, center, call):
+        with pytest.raises(ValueError, match="outside the θ="):
+            call(center)
+
+    def test_last_cell_is_on_the_grid(self):
+        idx = DitsLocalIndex({1: np.array([0, _PAST - 1])}, THETA, F)
+        q = query_node_from_cells(np.array([_PAST - 1]), THETA)
+        assert idx.search_overlap(q, 1) == [(1, 1)]
+
+
 H_THETA = 4  # a 16x16 grid, so random datasets often overlap and connect
 _CELLS = st.lists(st.integers(0, (1 << 2 * H_THETA) - 1), min_size=1, max_size=6, unique=True)
 
@@ -270,3 +302,17 @@ class TestDifferential:
             got, _ = center.coverage_search(q, delta, k, ex, strategy=strategy)
             assert got == greedy, strategy
         assert is_connected_result([d for d, _ in greedy], union, q, delta, H_THETA)
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(_corpora(), st.integers(1, 4), st.sampled_from([0, 1, 3]))
+    def test_spark_equals_references(self, spark, data, k, delta):
+        corpus, q, ex = data
+        union = {d: c for src in corpus.values() for d, c in src.items()}
+        rows = [(sid, did, int(c)) for sid, src in corpus.items() for did, cs in src.items() for c in cs]
+        cells_df = spark.createDataFrame(rows, "source_id string, dataset_id long, cell long")
+        built = spark_ops.build_distributed_index(cells_df, SPACE, H_THETA, 2)
+        got = spark_ops.distributed_overlap_search(spark, *built, q, k, SPACE, H_THETA, tuple(ex))
+        assert got == brute_force_topk(q, union, k, ex)
+        got = spark_ops.distributed_coverage_search(spark, *built, q, delta, k, SPACE, H_THETA, tuple(ex))
+        assert got == SGCoverage(union, H_THETA).search(query_node_from_cells(q, H_THETA), delta, k, ex)
+        assert is_connected_result([d for d, _ in got], union, q, delta, H_THETA)

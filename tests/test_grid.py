@@ -8,7 +8,6 @@ from repro.grid import (
     WORLD,
     Bounds,
     cell_ids_np,
-    cells_of_points,
     cells_to_lonlat_center,
     grid_coords_np,
     z_decode_np,
@@ -99,13 +98,6 @@ class TestGridCoords:
     def test_out_of_bounds_clipped(self):
         X, Y = grid_coords_np(np.array([-999.0, 999.0]), np.array([999.0, -999.0]), WORLD, 4)
         assert X.tolist() == [0, 15] and Y.tolist() == [15, 0]
-
-    def test_cells_of_points_dedup_and_sorted(self):
-        x = np.array([0.0, 0.001, 50.0])
-        y = np.array([0.0, 0.001, 50.0])
-        cells = cells_of_points(x, y, WORLD, 10)
-        assert len(cells) == 2
-        assert np.array_equal(cells, np.sort(cells))
 
     @pytest.mark.parametrize("theta", [4, 8, 12])
     def test_center_round_trip(self, theta):

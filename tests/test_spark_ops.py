@@ -1,7 +1,4 @@
 """Distributed dataflow operators == driver-side algorithms, oracle-checked."""
-import os
-import pickle
-
 import numpy as np
 import pandas as pd
 import pytest
@@ -23,9 +20,8 @@ def cells_sdf(spark, points_pdf):
 
 
 @pytest.fixture(scope="module")
-def dist_index(tmp_path_factory, cells_sdf):
-    out = tmp_path_factory.mktemp("dits")
-    return spark_ops.build_distributed_index(cells_sdf, SPACE, THETA, F, str(out))
+def dist_index(cells_sdf):
+    return spark_ops.build_distributed_index(cells_sdf, SPACE, THETA, F)
 
 
 class TestOverlapTopkSql:
@@ -66,36 +62,42 @@ class TestOverlapTopkSql:
 
 class TestDistributedBuild:
     def test_summaries_cover_sources(self, dist_index, corpus):
-        _groot, summaries, paths = dist_index
+        _groot, summaries, sources = dist_index
         assert set(summaries) == set(corpus)
-        assert set(paths) == set(corpus)
+        assert set(sources) == set(corpus)
         for name, s in summaries.items():
             assert s.n_datasets == len(corpus[name])
 
     def test_persisted_indexes_load_and_match(self, dist_index, corpus):
-        _groot, _summaries, paths = dist_index
-        for name, path in paths.items():
-            src = spark_ops._load_index(path)
+        _groot, _summaries, sources = dist_index
+        for name in sources:
+            src = sources[name].value
             assert src.name == name
             assert sorted(src.index.datasets) == sorted(corpus[name])
 
     def test_summary_rects_match_driver_side(self, dist_index, center):
-        _groot, summaries, _paths = dist_index
+        _groot, summaries, _sources = dist_index
         for name, s in summaries.items():
             expect = center.summaries[name]
             assert np.allclose(s.rect, expect.rect)
 
-    def test_dataset_id_in_two_sources_is_rejected(self, tmp_path, cells_sdf, union_datasets):
+    def test_dataset_id_in_two_sources_is_rejected(self, cells_sdf, union_datasets):
         did = min(union_datasets)
         twice = cells_sdf.union(
             cells_sdf.filter(col("dataset_id") == did).withColumn("source_id", lit("copy"))
         )
         with pytest.raises(ValueError, match=f"dataset {did}"):
-            spark_ops.build_distributed_index(twice, SPACE, THETA, F, str(tmp_path))
+            spark_ops.build_distributed_index(twice, SPACE, THETA, F)
 
-    def test_no_rows_is_rejected(self, tmp_path, cells_sdf):
+    def test_no_rows_is_rejected(self, cells_sdf):
         with pytest.raises(ValueError):
-            spark_ops.build_distributed_index(cells_sdf.limit(0), SPACE, THETA, F, str(tmp_path))
+            spark_ops.build_distributed_index(cells_sdf.limit(0), SPACE, THETA, F)
+
+    def test_out_dir_is_not_written(self, tmp_path, cells_sdf):
+        """The ignored ``out_dir`` of older callers stays untouched."""
+        out = tmp_path / "never"
+        spark_ops.build_distributed_index(cells_sdf, SPACE, THETA, F, str(out))
+        assert not out.exists()
 
 
 class TestDistributedSearch:
@@ -179,25 +181,6 @@ class TestSearchRounds:
         # Each pick took one round; a last round may find no candidate.
         assert res and len(res) <= jobs <= min(k, len(res) + 1)
 
-    def test_driver_never_loads_an_index(
-        self, spark, dist_index, union_datasets, query_ids
-    ):
-        """Winner cells come back in the replies: in local mode the Python
-        workers are separate processes, so only a driver-side load could
-        fill the driver's cache."""
-        groot, summaries, paths = dist_index
-        qid = query_ids[2]
-        q = union_datasets[qid]
-        spark_ops._INDEX_CACHE.clear()
-        cov = spark_ops.distributed_coverage_search(
-            spark, groot, summaries, paths, q, 5, 8, SPACE, THETA, (qid,)
-        )
-        top = spark_ops.distributed_overlap_search(
-            spark, groot, summaries, paths, q, 10, SPACE, THETA, (qid,)
-        )
-        assert cov and top
-        assert spark_ops._INDEX_CACHE == {}
-
 
 class TestDistributedEqualsDataCenter:
     @pytest.mark.parametrize("k", [1, 10, 50])
@@ -254,20 +237,17 @@ class TestRebuild:
     def test_rebuild_into_same_dir_is_seen(
         self, spark, tmp_path, cells_sdf, union_datasets, query_ids
     ):
-        """Python workers keep their cached indexes across jobs; a rebuild
-        into the same directory must still be searched, not the first build."""
+        """Python workers keep the sources they loaded across jobs; a
+        rebuild must still be searched, not the first build."""
         out = str(tmp_path)
         qid = query_ids[0]
         q = union_datasets[qid]
         ex = frozenset([qid])
         first = spark_ops.build_distributed_index(cells_sdf, SPACE, THETA, F, out)
-        first_paths = list(first[2].values())
-        # Every worker caches every source of the first build.
-        spark.sparkContext.parallelize(range(32), 32).foreach(
-            lambda _: [spark_ops._load_index(p) for p in first_paths]
-        )
-        got = spark_ops.distributed_overlap_search(spark, *first, q, 10, SPACE, THETA, (qid,))
-        assert got and got == brute_force_topk(q, union_datasets, 10, ex)
+        # Warm the workers with the first build's sources.
+        for _ in range(3):
+            got = spark_ops.distributed_overlap_search(spark, *first, q, 10, SPACE, THETA, (qid,))
+            assert got and got == brute_force_topk(q, union_datasets, 10, ex)
 
         removed = [d for d, _ in got[:3]]
         kept = {d: c for d, c in union_datasets.items() if d not in removed}
@@ -277,15 +257,26 @@ class TestRebuild:
         for _ in range(3):
             got = spark_ops.distributed_overlap_search(spark, *second, q, 10, SPACE, THETA, (qid,))
             assert got == brute_force_topk(q, kept, 10, ex)
-        # One index file per source: the rebuild replaced the first build's.
-        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in second[2].values())
 
-    def test_cache_keeps_one_entry_per_source(self, tmp_path, dits):
-        spark_ops._INDEX_CACHE.clear()
-        for build in ("a", "b"):
-            path = str(tmp_path / f"src.{build}.pkl")
-            with open(path, "wb") as fh:
-                pickle.dump(dits, fh)
-            spark_ops._load_index(path)
-            assert [p for p, _ in spark_ops._INDEX_CACHE.values()] == [path]
-        spark_ops._INDEX_CACHE.clear()
+    def test_first_build_still_answers_after_a_rebuild(
+        self, spark, tmp_path, cells_sdf, union_datasets, query_ids
+    ):
+        """Two builds into the same directory are two independent handles:
+        each answers from its own corpus, in either order."""
+        out = str(tmp_path)
+        qid = query_ids[0]
+        q = union_datasets[qid]
+        ex = frozenset([qid])
+        whole = brute_force_topk(q, union_datasets, 10, ex)
+        removed = [d for d, _ in whole[:3]]
+        kept = {d: c for d, c in union_datasets.items() if d not in removed}
+        first = spark_ops.build_distributed_index(cells_sdf, SPACE, THETA, F, out)
+        second = spark_ops.build_distributed_index(
+            cells_sdf.filter(~col("dataset_id").isin(removed)), SPACE, THETA, F, out
+        )
+        for built, corpus in [(first, union_datasets), (second, kept), (first, union_datasets)]:
+            got = spark_ops.distributed_overlap_search(spark, *built, q, 10, SPACE, THETA, (qid,))
+            assert got == brute_force_topk(q, corpus, 10, ex)
+            cov = spark_ops.distributed_coverage_search(spark, *built, q, 5, 3, SPACE, THETA, (qid,))
+            want = SGCoverage(corpus, THETA).search(query_node_from_cells(q, THETA), 5, 3, ex)
+            assert cov == want

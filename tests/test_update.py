@@ -49,9 +49,11 @@ def _check_dits_invariants(idx: DitsLocalIndex):
         for nd in leaf.ch:
             for c in nd.cells:
                 expect.setdefault(int(c), []).append(nd.id)
-        assert {k: sorted(v) for k, v in leaf.inv.items()} == {
-            k: sorted(v) for k, v in expect.items()
+        got = {
+            int(c): sorted(leaf.post[leaf.indptr[i] : leaf.indptr[i + 1]].tolist())
+            for i, c in enumerate(leaf.keys)
         }
+        assert got == {k: sorted(v) for k, v in expect.items()}
 
     def rec(node):
         if node.is_leaf:
