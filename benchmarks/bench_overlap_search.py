@@ -4,7 +4,6 @@ Full k/theta/q/f sweeps: ``jobs/fig9_12_overlap.py``.
 """
 import pytest
 
-from repro.experiments import _run_overlap_queries
 from benchmarks.conftest import THETA
 
 

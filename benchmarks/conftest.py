@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import Workbench, make_coverage_searchers, make_overlap_searchers
 from repro.core.framework import make_center
+from repro.experiments import (
+    BUILD_WB,
+    COMM_WB,
+    COV_WB,
+    SEARCH_WB,
+    Workbench,
+    make_coverage_searchers,
+    make_overlap_searchers,
+)
 from repro.synth_spatial import SPACE
-
-SEARCH_WB = dict(scale=0.1, cap=1500, seed=7)
-BUILD_WB = dict(scale=0.05, cap=400, seed=7)
-COMM_WB = dict(scale=0.02, cap=300, seed=7)
-COV_WB = dict(scale=0.012, cap=200, seed=7)
 
 THETA = 12
 F = 10
@@ -26,22 +29,22 @@ F = 10
 
 @pytest.fixture(scope="session")
 def search_wb():
-    return Workbench.make(**{"scale": SEARCH_WB["scale"], "cap": SEARCH_WB["cap"], "seed": SEARCH_WB["seed"]})
+    return Workbench.make(**SEARCH_WB)
 
 
 @pytest.fixture(scope="session")
 def build_wb():
-    return Workbench.make(**{"scale": BUILD_WB["scale"], "cap": BUILD_WB["cap"], "seed": BUILD_WB["seed"]})
+    return Workbench.make(**BUILD_WB)
 
 
 @pytest.fixture(scope="session")
 def comm_wb():
-    return Workbench.make(**{"scale": COMM_WB["scale"], "cap": COMM_WB["cap"], "seed": COMM_WB["seed"]})
+    return Workbench.make(**COMM_WB)
 
 
 @pytest.fixture(scope="session")
 def cov_wb():
-    return Workbench.make(**{"scale": COV_WB["scale"], "cap": COV_WB["cap"], "seed": COV_WB["seed"]})
+    return Workbench.make(**COV_WB)
 
 
 @pytest.fixture(scope="session")

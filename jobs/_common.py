@@ -1,14 +1,9 @@
 """Shared plumbing for the experiment entrypoints.
 
 Each ``jobs/figNN_*.py`` is a spark-submit-able script that reruns one
-evaluation artifact, prints the paper-style table (rows = methods, columns
-= the swept parameter) and writes the raw rows to ``results/<name>.csv``.
-
-Workbench scales (documented in DESIGN.md §4/§5): the paper's corpora are
-GB-scale portal dumps; ours are synthetic at scales chosen so every sweep
-finishes in minutes while keeping each experiment in the regime where the
-paper's asymptotic effects are visible (big cell sets for search, many
-sources for communication).
+evaluation artifact on its workbench (``repro.experiments.SEARCH_WB`` and
+friends), prints the paper-style table (rows = methods, columns = the swept
+parameter) and writes the raw rows to ``results/<name>.csv``.
 """
 from __future__ import annotations
 
@@ -19,19 +14,9 @@ import pandas as pd
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
-from repro.experiments import Workbench, pivot_table  # noqa: E402
+from repro.experiments import pivot_table  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-
-# One workbench per experiment family (scale, point cap, generator seed).
-SEARCH_WB = dict(scale=0.1, cap=1500, seed=7)     # Figs 9-12: big cell sets
-BUILD_WB = dict(scale=0.05, cap=400, seed=7)      # Fig 8, Figs 21/22
-COMM_WB = dict(scale=0.02, cap=300, seed=7)       # Figs 13/14
-COV_WB = dict(scale=0.012, cap=200, seed=7)       # Figs 15-18, 19/20
-
-
-def make_wb(cfg: dict) -> Workbench:
-    return Workbench.make(cfg["scale"], cap=cfg["cap"], seed=cfg["seed"])
 
 
 def emit(name: str, df: pd.DataFrame, param: str | None = None, value: str = "time_s") -> None:

@@ -1,12 +1,12 @@
 """Figs. 13/14: OJSP communication cost (bytes, transfer time) vs q."""
-from _common import COMM_WB, emit, make_wb
+from _common import emit
 
-from repro.experiments import fig13_14_overlap_comm
+from repro.experiments import COMM_WB, Workbench, comm_sweep
+from repro.params import Q_VALUES
 
 
 def main() -> None:
-    wb = make_wb(COMM_WB)
-    df = fig13_14_overlap_comm(wb)
+    df = comm_sweep(Workbench.make(**COMM_WB), "overlap", Q_VALUES)
     emit("fig13_overlap_comm_bytes", df, "q", "kbytes")
     emit("fig14_overlap_comm_time", df, "q", "transfer_s")
 

@@ -1,12 +1,12 @@
 """Figs. 19/20: CJSP communication cost (bytes, transfer time) vs q."""
-from _common import COV_WB, emit, make_wb
+from _common import emit
 
-from repro.experiments import fig19_20_coverage_comm
+from repro.experiments import COV_WB, Workbench, comm_sweep
+from repro.params import Q_VALUES
 
 
 def main() -> None:
-    wb = make_wb(COV_WB)
-    df = fig19_20_coverage_comm(wb)
+    df = comm_sweep(Workbench.make(**COV_WB), "coverage", Q_VALUES)
     emit("fig19_coverage_comm_bytes", df, "q", "kbytes")
     emit("fig20_coverage_comm_time", df, "q", "transfer_s")
 

@@ -1,11 +1,11 @@
 """Table I: statistics of the (synthetic) five data sources."""
-from _common import BUILD_WB, emit, make_wb
+from _common import emit
 
-from repro.experiments import table1_statistics
+from repro.experiments import BUILD_WB, Workbench, table1_statistics
 
 
 def main() -> None:
-    wb = make_wb(BUILD_WB)
+    wb = Workbench.make(**BUILD_WB)
     emit("table1_sources", table1_statistics(wb))
 
 

@@ -2,8 +2,8 @@
 
 The cell ID is computed with pure Catalyst column expressions
 (:func:`repro.grid.cell_id_col`), then each dataset's *cell-based dataset*
-is the distinct set of its cell IDs. ``collect_cell_sets`` materializes the
-per-dataset sorted cell arrays on the driver for the index structures, which
+is the distinct set of its cell IDs. :func:`cell_sets_from_pdf` builds the
+per-dataset sorted cell arrays with numpy for the index structures, which
 is the paper's setting (each data source holds its own datasets locally).
 """
 from __future__ import annotations
@@ -31,32 +31,11 @@ def cell_sets_df(points: DataFrame, bounds: Bounds, theta: int) -> DataFrame:
     )
 
 
-def collect_cell_sets(
-    points: DataFrame, bounds: Bounds, theta: int
-) -> dict[str, dict[int, np.ndarray]]:
-    """Materialize {source_id: {dataset_id: sorted cell-ID array}}.
-
-    Uses ``collect_set`` so the shuffle moves one row per dataset, not one
-    per point.
-    """
-    rows = (
-        cell_sets_df(points, bounds, theta)
-        .groupBy("source_id", "dataset_id")
-        .agg(F.collect_set("cell").alias("cells"))
-        .collect()
-    )
-    out: dict[str, dict[int, np.ndarray]] = {}
-    for r in rows:
-        out.setdefault(r["source_id"], {})[int(r["dataset_id"])] = np.sort(
-            np.asarray(r["cells"], dtype=np.int64)
-        )
-    return out
-
-
 def cell_sets_from_pdf(
     points: pd.DataFrame, bounds: Bounds, theta: int
 ) -> dict[str, dict[int, np.ndarray]]:
-    """Driver-side (numpy) equivalent of :func:`collect_cell_sets`."""
+    """{source_id: {dataset_id: sorted cell-ID array}}, computed with numpy:
+    the cells :func:`cell_sets_df` holds as rows."""
     pdf = points.copy()
     pdf["cell"] = cell_ids_np(pdf["x"].to_numpy(), pdf["y"].to_numpy(), bounds, theta)
     out: dict[str, dict[int, np.ndarray]] = {}

@@ -1,11 +1,11 @@
 """DITS-G — the data center's global index (paper §V-B).
 
 Each data source sends only its local root node; the center converts the
-root MBR/pivot into lon/lat (so sources may use different resolutions) and
-builds the same top-down binary tree over these *root summaries*, without
-leaf inverted indexes. The global index answers one question: which data
-sources might contain query results (MBR intersection for OJSP, Lemma-4
-connectivity lower bound for CJSP).
+root MBR/pivot into lon/lat and builds the same top-down binary tree over
+these *root summaries* with Algorithm 1's :func:`build_local_index`,
+without leaf inverted indexes. The global index answers one question:
+which data sources might contain query results (MBR intersection for OJSP,
+Lemma-4 connectivity lower bound for CJSP).
 """
 from __future__ import annotations
 
@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import mbr_intersects, mbr_union, pivot_of_mbr, radius_of_mbr
+from ..geometry import mbr_intersects, pivot_of_mbr, radius_of_mbr
 from ..grid import Bounds
+from .dits_local import build_local_index
+from .node import InternalNode
 
 
 @dataclass
@@ -25,15 +27,7 @@ class RootSummary:
     rect: np.ndarray  # lon/lat MBR covering the full area of the root's cells
     o: np.ndarray
     r: float
-    theta: int
     n_datasets: int
-    cell_deg: float  # max(cell width, cell height) in degrees
-
-    @classmethod
-    def from_local_root(
-        cls, source_id: str, root, bounds: Bounds, theta: int, n_datasets: int
-    ) -> "RootSummary":
-        return cls.from_grid_rect(source_id, root.rect, bounds, theta, n_datasets)
 
     @classmethod
     def from_grid_rect(
@@ -48,56 +42,29 @@ class RootSummary:
                 bounds.y0 + (g[3] + 1) * mu,
             ]
         )
-        return cls(
-            source_id=source_id,
-            rect=rect,
-            o=pivot_of_mbr(rect),
-            r=radius_of_mbr(rect),
-            theta=theta,
-            n_datasets=n_datasets,
-            cell_deg=max(nu, mu),
-        )
+        return cls(source_id, rect, pivot_of_mbr(rect), radius_of_mbr(rect), n_datasets)
 
 
-class GlobalNode:
-    __slots__ = ("rect", "o", "r", "left", "right", "summaries")
+class SummaryLeaf:
+    """A DITS-G leaf: up to f root summaries and no inverted index."""
 
-    def __init__(self, rect: np.ndarray, summaries=None):
+    __slots__ = ("rect", "o", "r", "summaries", "pa")
+    is_leaf = True
+
+    def __init__(self, rect: np.ndarray, summaries: list[RootSummary]):
         self.rect = rect
         self.o = pivot_of_mbr(rect)
         self.r = radius_of_mbr(rect)
-        self.left = None
-        self.right = None
-        self.summaries: list[RootSummary] | None = summaries
+        self.summaries = summaries
+        self.pa = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.summaries is not None
+
+GlobalNode = InternalNode | SummaryLeaf
 
 
 def build_global_index(summaries: list[RootSummary], f: int = 10) -> GlobalNode:
-    """Same split rule as Algorithm 1, over root summaries, no leaf inv."""
-    rect = summaries[0].rect
-    for s in summaries[1:]:
-        rect = mbr_union(rect, s.rect)
-    if len(summaries) <= f:
-        return GlobalNode(rect, list(summaries))
-    node = GlobalNode(rect)
-    widths = (rect[2] - rect[0], rect[3] - rect[1])
-    d = 0 if widths[0] >= widths[1] else 1
-    pivots = np.array([s.o[d] for s in summaries])
-    median = float(np.median(pivots))
-    left = [s for s in summaries if s.o[d] <= median]
-    right = [s for s in summaries if s.o[d] > median]
-    if not left or not right:
-        order = np.argsort(pivots, kind="stable")
-        half = len(summaries) // 2
-        left = [summaries[i] for i in order[:half]]
-        right = [summaries[i] for i in order[half:]]
-    node.summaries = None
-    node.left = build_global_index(left, f)
-    node.right = build_global_index(right, f)
-    return node
+    """Algorithm 1 over the root summaries, with summary leaves."""
+    return build_local_index(summaries, f, make_leaf=SummaryLeaf)
 
 
 def candidate_sources(
@@ -109,29 +76,27 @@ def candidate_sources(
 ) -> list[RootSummary]:
     """§VI-A query distribution, step 1: sources that may hold results.
 
-    A node is kept if its MBR intersects the query MBR *or* the Lemma-4
-    lower bound on the distance to the query is within ``delta_deg``
-    (pass ``delta_deg < 0`` for OJSP, where only intersection matters).
+    A node or summary is kept if its MBR intersects the query MBR *or* the
+    Lemma-4 lower bound on the distance to the query is within
+    ``delta_deg`` (pass ``delta_deg < 0`` for OJSP, where only intersection
+    matters).
     """
+
+    def keep(x) -> bool:
+        if mbr_intersects(x.rect, q_rect):
+            return True
+        return delta_deg >= 0 and max(float(np.hypot(*(x.o - q_o))) - x.r - q_r, 0.0) <= delta_deg
+
     out: list[RootSummary] = []
     stack = [root]
     while stack:
-        node = stack.pop()
-        hit = mbr_intersects(node.rect, q_rect)
-        if not hit and delta_deg >= 0:
-            d = float(np.hypot(*(node.o - q_o)))
-            hit = max(d - node.r - q_r, 0.0) <= delta_deg
-        if not hit:
+        x = stack.pop()
+        if not keep(x):
             continue
-        if node.is_leaf:
-            for s in node.summaries:
-                ok = mbr_intersects(s.rect, q_rect)
-                if not ok and delta_deg >= 0:
-                    d = float(np.hypot(*(s.o - q_o)))
-                    ok = max(d - s.r - q_r, 0.0) <= delta_deg
-                if ok:
-                    out.append(s)
+        if isinstance(x, RootSummary):
+            out.append(x)
+        elif x.is_leaf:
+            stack.extend(x.summaries)
         else:
-            stack.append(node.left)
-            stack.append(node.right)
+            stack += (x.left, x.right)
     return sorted(out, key=lambda s: s.source_id)

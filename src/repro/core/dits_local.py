@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import mbr_union
-from .node import DatasetNode, InternalNode, LeafNode, refresh_geometry
+from .node import DatasetNode, InternalNode, LeafNode
 
 
 def build_dataset_nodes(datasets: dict[int, np.ndarray], theta: int) -> list[DatasetNode]:
@@ -19,20 +19,24 @@ def build_dataset_nodes(datasets: dict[int, np.ndarray], theta: int) -> list[Dat
     return [DatasetNode(did, cells, theta) for did, cells in sorted(datasets.items())]
 
 
-def _enclosing_rect(nodes: list[DatasetNode]) -> np.ndarray:
+def _enclosing_rect(nodes: list) -> np.ndarray:
     rect = nodes[0].rect
     for nd in nodes[1:]:
         rect = mbr_union(rect, nd.rect)
     return rect
 
 
-def build_local_index(
-    nodes: list[DatasetNode], f: int, parent=None
-) -> InternalNode | LeafNode:
-    """Algorithm 1. ``nodes`` must be non-empty; returns the (sub)tree root."""
+def build_local_index(nodes: list, f: int, parent=None, make_leaf=None):
+    """Algorithm 1 over ``nodes``: anything with an MBR ``rect`` and a
+    pivot ``o``, non-empty. Returns the (sub)tree root.
+
+    Leaves are ``make_leaf(rect, nodes)``: by default DITS-L's
+    :class:`LeafNode` with its inverted index; DITS-G passes its summary
+    leaf, so both indexes share one tree shape (§V-B).
+    """
     rect = _enclosing_rect(nodes)
     if len(nodes) <= f:
-        leaf = LeafNode(rect, list(nodes), f)
+        leaf = make_leaf(rect, list(nodes)) if make_leaf else LeafNode(rect, list(nodes), f)
         leaf.pa = parent
         return leaf
     root = InternalNode(rect)
@@ -51,9 +55,8 @@ def build_local_index(
         half = len(nodes) // 2
         left = [nodes[i] for i in order[:half]]
         right = [nodes[i] for i in order[half:]]
-    root.left = build_local_index(left, f, root)
-    root.right = build_local_index(right, f, root)
-    refresh_geometry(root)
+    root.left = build_local_index(left, f, root, make_leaf)
+    root.right = build_local_index(right, f, root, make_leaf)
     return root
 
 

@@ -178,8 +178,8 @@ class DataSource:
 
     def summary(self) -> RootSummary:
         """The root node this source ships to the data center."""
-        return RootSummary.from_local_root(
-            self.name, self.index.root, self.bounds, self.theta, len(self.index)
+        return RootSummary.from_grid_rect(
+            self.name, self.index.root.rect, self.bounds, self.theta, len(self.index)
         )
 
     def contains(self, dataset_id: int) -> bool:

@@ -1,10 +1,13 @@
 """Experiment harness reproducing the paper's evaluation (§VII).
 
-Each ``figN_*`` function reruns one figure's experiment and returns a
-pandas DataFrame with the same rows the paper plots (one row per parameter
-value x method). ``jobs/`` wraps them for spark-submit; ``benchmarks/``
-times representative cells with pytest-benchmark; EXPERIMENTS.md records
-the numbers against the paper's.
+Each function returns a pandas DataFrame with the rows the paper plots
+(one row per parameter value x method): :func:`fig8_index_construction`,
+:func:`fig21_22_index_update` and :func:`table1_statistics` for one
+artifact each, :func:`search_time_sweep` for every search-time figure
+(9-12, 15-18) and :func:`comm_sweep` for every communication figure (13/14,
+19/20). ``jobs/`` wraps them for spark-submit; ``benchmarks/`` times
+representative cells with pytest-benchmark; EXPERIMENTS.md records the
+numbers against the paper's.
 
 Workload protocol (§VII-A): five synthetic sources (Table I substitute,
 see DESIGN.md §4), q query datasets sampled from the corpus, parameters
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -28,19 +32,26 @@ from .core.framework import make_center
 from .core.overlap import query_node_from_cells
 from .core.update import DitsLocalIndex
 from .params import (
+    BANDWIDTH_BYTES_PER_S,
+    BETA_VALUES,
     DELTA_DEFAULT,
-    DELTA_VALUES,
     F_DEFAULT,
-    F_VALUES,
     K_DEFAULT,
-    K_VALUES,
     Q_DEFAULT,
-    Q_VALUES,
     THETA_DEFAULT,
     THETA_VALUES,
-    BETA_VALUES,
 )
 from .synth_spatial import SPACE, generate_corpus_pdf, pick_queries
+
+# One workbench per experiment family, as ``Workbench.make`` keywords: the
+# paper's corpora are GB-scale portal dumps; these scales let every sweep
+# finish in minutes while keeping each experiment in the regime where the
+# paper's effects show (big cell sets for search, many sources for
+# communication). DESIGN.md §4/§5 documents them.
+SEARCH_WB = dict(scale=0.1, cap=1500, seed=7)  # Figs 9-12
+BUILD_WB = dict(scale=0.05, cap=400, seed=7)  # Table I, Fig 8, Figs 21/22
+COMM_WB = dict(scale=0.02, cap=300, seed=7)  # Figs 13/14
+COV_WB = dict(scale=0.012, cap=200, seed=7)  # Figs 15-18, 19/20
 
 
 @dataclass
@@ -153,257 +164,142 @@ def fig21_22_index_update(
 
 
 # --------------------------------------------------------------------------
-# OJSP search time (Figs. 9-12)
+# Search time (Figs. 9-12 OJSP, 15-18 CJSP) and communication (13/14, 19/20)
 # --------------------------------------------------------------------------
+
+OVERLAP_METHODS = ("OverlapSearch", "Rtree", "QuadTree", "STS3", "Josie")
+
+
+def _guarded(search, to_query=lambda cells: cells):
+    """An empty query overlaps and connects to nothing: every method
+    answers ``[]`` without reaching its index."""
+    return lambda cells, *args: search(to_query(cells), *args) if len(cells) else []
+
 
 def make_overlap_searchers(
+    union: dict[int, np.ndarray], theta: int, f: int, methods=OVERLAP_METHODS
+) -> dict[str, callable]:
+    """method name -> search(query_cells, k, exclude); builds only ``methods``."""
+    node = partial(query_node_from_cells, theta=theta)
+    build = {
+        "OverlapSearch": lambda: _guarded(DitsLocalIndex(union, theta, f).search_overlap, node),
+        "Rtree": lambda: _guarded(RTreeIndex(union, theta, f).search, node),
+        "QuadTree": lambda: _guarded(QuadTreeIndex(union, theta).search),
+        "STS3": lambda: _guarded(STS3Index(union).search),
+        "Josie": lambda: _guarded(JosieIndex(union).search),
+    }
+    return {m: build[m]() for m in methods}
+
+
+def make_coverage_searchers(
     union: dict[int, np.ndarray], theta: int, f: int
 ) -> dict[str, callable]:
-    """method name -> search(query_cells, k, exclude) over prebuilt indexes."""
+    """method name -> search(query_cells, delta, k, exclude)."""
+    node = partial(query_node_from_cells, theta=theta)
     dits = DitsLocalIndex(union, theta, f)
-    rtree = RTreeIndex(union, theta, f)
-    qt = QuadTreeIndex(union, theta)
-    sts3 = STS3Index(union)
-    josie = JosieIndex(union)
     return {
-        "OverlapSearch": lambda q, k, ex: dits.search_overlap(
-            query_node_from_cells(q, theta), k, ex
-        ),
-        "Rtree": lambda q, k, ex: rtree.search(query_node_from_cells(q, theta), k, ex),
-        "QuadTree": lambda q, k, ex: qt.search(q, k, ex),
-        "STS3": lambda q, k, ex: sts3.search(q, k, ex),
-        "Josie": lambda q, k, ex: josie.search(q, k, ex),
+        "CoverageSearch": _guarded(dits.search_coverage, node),
+        "SG+DITS": _guarded(SGDitsCoverage(dits.root, theta).search, node),
+        "SG": _guarded(SGCoverage(union, theta).search, node),
     }
 
 
-def _warm_overlap(searchers, union, qids) -> None:
-    """Populate lazy caches (posting arrays etc.) before any timing, so the
-    first swept row is measured under the same conditions as the rest."""
-    for search in searchers.values():
-        for qid in qids[:2]:
-            search(union[qid], K_DEFAULT, frozenset([qid]))
+def _search_args(family: str, p: dict) -> tuple:
+    """What a search takes between the query cells and ``exclude``."""
+    return (p["k"],) if family == "overlap" else (p["delta"], p["k"])
 
 
-def _run_overlap_queries(searchers, union, qids, k) -> dict[str, float]:
-    out = {}
-    for name, search in searchers.items():
-        t0 = time.perf_counter()
-        for qid in qids:
-            search(union[qid], k, frozenset([qid]))
-        out[name] = time.perf_counter() - t0
-    return out
-
-
-def fig9_overlap_vs_k(
-    wb: Workbench, ks=K_VALUES, theta=THETA_DEFAULT, f=F_DEFAULT, q=Q_DEFAULT
+def search_time_sweep(
+    wb: Workbench,
+    family: str,
+    param: str,
+    values,
+    *,
+    methods=OVERLAP_METHODS,
+    theta: int = THETA_DEFAULT,
+    f: int = F_DEFAULT,
+    k: int = K_DEFAULT,
+    q: int = Q_DEFAULT,
+    delta: float = DELTA_DEFAULT,
 ) -> pd.DataFrame:
-    union = wb.union(theta)
-    searchers = make_overlap_searchers(union, theta, f)
-    qids = wb.queries(q)
-    _warm_overlap(searchers, union, qids)
-    rows = []
-    for k in ks:
-        for name, secs in _run_overlap_queries(searchers, union, qids, k).items():
-            rows.append({"k": k, "method": name, "time_s": round(secs, 4)})
-    return pd.DataFrame(rows)
+    """Search time as one Table II parameter sweeps ``values`` (§VII-A).
 
-
-def fig10_overlap_vs_theta(
-    wb: Workbench, thetas=THETA_VALUES, f=F_DEFAULT, k=K_DEFAULT, q=Q_DEFAULT
-) -> pd.DataFrame:
-    rows = []
-    for theta in thetas:
-        union = wb.union(theta)
-        searchers = make_overlap_searchers(union, theta, f)
-        qids = wb.queries(q)
-        _warm_overlap(searchers, union, qids)
-        for name, secs in _run_overlap_queries(searchers, union, qids, k).items():
-            rows.append({"theta": theta, "method": name, "time_s": round(secs, 4)})
-    return pd.DataFrame(rows)
-
-
-def fig11_overlap_vs_q(
-    wb: Workbench, qs=Q_VALUES, theta=THETA_DEFAULT, f=F_DEFAULT, k=K_DEFAULT
-) -> pd.DataFrame:
-    union = wb.union(theta)
-    searchers = make_overlap_searchers(union, theta, f)
-    _warm_overlap(searchers, union, wb.queries(2))
-    rows = []
-    for q in qs:
-        qids = wb.queries(q)
-        for name, secs in _run_overlap_queries(searchers, union, qids, k).items():
-            rows.append({"q": q, "method": name, "time_s": round(secs, 4)})
-    return pd.DataFrame(rows)
-
-
-def fig12_overlap_vs_f(
-    wb: Workbench, fs=F_VALUES, theta=THETA_DEFAULT, k=K_DEFAULT, q=Q_DEFAULT
-) -> pd.DataFrame:
-    """Only OverlapSearch and Rtree have a leaf capacity (paper §VII-C.1)."""
-    union = wb.union(theta)
-    qids = wb.queries(q)
-    rows = []
-    for f in fs:
-        dits = DitsLocalIndex(union, theta, f)
-        rtree = RTreeIndex(union, theta, f)
-        for name, search in (
-            (
-                "OverlapSearch",
-                lambda qc, k_, ex: dits.search_overlap(
-                    query_node_from_cells(qc, theta), k_, ex
-                ),
-            ),
-            ("Rtree", lambda qc, k_, ex: rtree.search(query_node_from_cells(qc, theta), k_, ex)),
-        ):
+    ``family`` is ``"overlap"`` (OJSP, Figs 9-12) or ``"coverage"`` (CJSP,
+    Figs 15-18); ``param`` is one of theta, f, k, q, delta, the others keep
+    the values passed. One ``(param, method, time_s)`` row per value and
+    method: the seconds its q sampled queries take. Indexes are rebuilt
+    only when θ or f changes, and warmed on two queries before any timing,
+    so lazy caches fill before the first row. ``methods`` picks the OJSP
+    methods (Fig 12 times only the two with a leaf capacity).
+    """
+    p = dict(theta=theta, f=f, k=k, q=q, delta=delta)
+    rows, built = [], None
+    for v in values:
+        p[param] = v
+        args = _search_args(family, p)
+        if built != (p["theta"], p["f"]):
+            built = (p["theta"], p["f"])
+            union = wb.union(p["theta"])
+            if family == "overlap":
+                searchers = make_overlap_searchers(union, *built, methods)
+            else:
+                searchers = make_coverage_searchers(union, *built)
+            warm = wb.queries(2)
+            for search in searchers.values():
+                for qid in warm:
+                    search(union[qid], *args, frozenset([qid]))
+        qids = wb.queries(p["q"])
+        for name, search in searchers.items():
             t0 = time.perf_counter()
             for qid in qids:
-                search(union[qid], k, frozenset([qid]))
-            rows.append({"f": f, "method": name, "time_s": round(time.perf_counter() - t0, 4)})
+                search(union[qid], *args, frozenset([qid]))
+            rows.append({param: v, "method": name, "time_s": round(time.perf_counter() - t0, 4)})
     return pd.DataFrame(rows)
 
 
-# --------------------------------------------------------------------------
-# OJSP communication (Figs. 13/14)
-# --------------------------------------------------------------------------
+# How the center distributes each method's query (§VI-A): OverlapSearch
+# prunes with DITS-G and clips; the four baselines have no global index, so
+# the center broadcasts the full query to every source (their bytes
+# coincide: the paper's near-overlapping curves). CJSP runs the three
+# local selection strategies.
+COMM_STRATEGIES = {
+    "overlap": {
+        "OverlapSearch": dict(use_global=True, clip=True),
+        **{m: dict(use_global=False, clip=False) for m in OVERLAP_METHODS[1:]},
+    },
+    "coverage": {
+        "CoverageSearch": dict(strategy="merge"),
+        "SG+DITS": dict(strategy="sg_dits"),
+        "SG": dict(strategy="sg"),
+    },
+}
 
-def fig13_14_overlap_comm(
-    wb: Workbench, qs=Q_VALUES, theta=THETA_DEFAULT, f=F_DEFAULT, k=K_DEFAULT
+
+def comm_sweep(
+    wb: Workbench,
+    family: str,
+    qs,
+    *,
+    theta: int = THETA_DEFAULT,
+    f: int = F_DEFAULT,
+    k: int = K_DEFAULT,
+    delta: float = DELTA_DEFAULT,
 ) -> pd.DataFrame:
-    """OverlapSearch = global prune + clipped query; the four baselines have
-    no global index, so the center broadcasts the full query to every
-    source (their bytes coincide — the paper's near-overlapping curves)."""
+    """Bytes the byte model meters for q queries through the
+    :class:`~repro.core.framework.DataCenter`: one ``(q, method, kbytes,
+    transfer_s)`` row per q and method (Figs 13/14 for ``family =
+    "overlap"``, 19/20 for ``"coverage"``)."""
     center = make_center(wb.corpus(theta), theta, f, SPACE)
+    search = center.overlap_search if family == "overlap" else center.coverage_search
+    args = _search_args(family, dict(k=k, delta=delta))
     union = wb.union(theta)
     rows = []
     for q in qs:
         qids = wb.queries(q)
-        for name, kwargs in (
-            ("OverlapSearch", dict(use_global=True, clip=True)),
-            ("Rtree", dict(use_global=False, clip=False)),
-            ("QuadTree", dict(use_global=False, clip=False)),
-            ("STS3", dict(use_global=False, clip=False)),
-            ("Josie", dict(use_global=False, clip=False)),
-        ):
-            total = 0
-            for qid in qids:
-                _, comm = center.overlap_search(
-                    union[qid], k, frozenset([qid]), **kwargs
-                )
-                total += comm.total_bytes
-            from .params import BANDWIDTH_BYTES_PER_S
-
-            rows.append(
-                {
-                    "q": q,
-                    "method": name,
-                    "kbytes": round(total / 1e3, 2),
-                    "transfer_s": round(total / BANDWIDTH_BYTES_PER_S, 5),
-                }
+        for name, how in COMM_STRATEGIES[family].items():
+            total = sum(
+                search(union[qid], *args, frozenset([qid]), **how)[1].total_bytes for qid in qids
             )
-    return pd.DataFrame(rows)
-
-
-# --------------------------------------------------------------------------
-# CJSP search time (Figs. 15-18)
-# --------------------------------------------------------------------------
-
-def make_coverage_searchers(union: dict[int, np.ndarray], theta: int, f: int):
-    dits = DitsLocalIndex(union, theta, f)
-    sg = SGCoverage(union, theta)
-    sgd = SGDitsCoverage(dits.root, theta)
-    return {
-        "CoverageSearch": lambda q, d, k, ex: dits.search_coverage(
-            query_node_from_cells(q, theta), d, k, ex
-        ),
-        "SG+DITS": lambda q, d, k, ex: sgd.search(query_node_from_cells(q, theta), d, k, ex),
-        "SG": lambda q, d, k, ex: sg.search(query_node_from_cells(q, theta), d, k, ex),
-    }
-
-
-def _run_coverage_queries(searchers, union, qids, delta, k) -> dict[str, float]:
-    out = {}
-    for name, search in searchers.items():
-        t0 = time.perf_counter()
-        for qid in qids:
-            search(union[qid], delta, k, frozenset([qid]))
-        out[name] = time.perf_counter() - t0
-    return out
-
-
-def fig15_coverage_vs_k(
-    wb: Workbench, ks=K_VALUES, theta=THETA_DEFAULT, f=F_DEFAULT, q=Q_DEFAULT, delta=DELTA_DEFAULT
-) -> pd.DataFrame:
-    union = wb.union(theta)
-    searchers = make_coverage_searchers(union, theta, f)
-    qids = wb.queries(q)
-    rows = []
-    for k in ks:
-        for name, secs in _run_coverage_queries(searchers, union, qids, delta, k).items():
-            rows.append({"k": k, "method": name, "time_s": round(secs, 4)})
-    return pd.DataFrame(rows)
-
-
-def fig16_coverage_vs_theta(
-    wb: Workbench, thetas=THETA_VALUES, f=F_DEFAULT, q=Q_DEFAULT, k=K_DEFAULT, delta=DELTA_DEFAULT
-) -> pd.DataFrame:
-    rows = []
-    for theta in thetas:
-        union = wb.union(theta)
-        searchers = make_coverage_searchers(union, theta, f)
-        qids = wb.queries(q)
-        for name, secs in _run_coverage_queries(searchers, union, qids, delta, k).items():
-            rows.append({"theta": theta, "method": name, "time_s": round(secs, 4)})
-    return pd.DataFrame(rows)
-
-
-def fig17_coverage_vs_q(
-    wb: Workbench, qs=Q_VALUES, theta=THETA_DEFAULT, f=F_DEFAULT, k=K_DEFAULT, delta=DELTA_DEFAULT
-) -> pd.DataFrame:
-    union = wb.union(theta)
-    searchers = make_coverage_searchers(union, theta, f)
-    rows = []
-    for q in qs:
-        qids = wb.queries(q)
-        for name, secs in _run_coverage_queries(searchers, union, qids, delta, k).items():
-            rows.append({"q": q, "method": name, "time_s": round(secs, 4)})
-    return pd.DataFrame(rows)
-
-
-def fig18_coverage_vs_delta(
-    wb: Workbench, deltas=DELTA_VALUES, theta=THETA_DEFAULT, f=F_DEFAULT, k=K_DEFAULT, q=Q_DEFAULT
-) -> pd.DataFrame:
-    union = wb.union(theta)
-    searchers = make_coverage_searchers(union, theta, f)
-    qids = wb.queries(q)
-    rows = []
-    for delta in deltas:
-        for name, secs in _run_coverage_queries(searchers, union, qids, delta, k).items():
-            rows.append({"delta": delta, "method": name, "time_s": round(secs, 4)})
-    return pd.DataFrame(rows)
-
-
-# --------------------------------------------------------------------------
-# CJSP communication (Figs. 19/20)
-# --------------------------------------------------------------------------
-
-def fig19_20_coverage_comm(
-    wb: Workbench, qs=Q_VALUES, theta=THETA_DEFAULT, f=F_DEFAULT, k=K_DEFAULT, delta=DELTA_DEFAULT
-) -> pd.DataFrame:
-    center = make_center(wb.corpus(theta), theta, f, SPACE)
-    union = wb.union(theta)
-    name_to_strategy = {"CoverageSearch": "merge", "SG+DITS": "sg_dits", "SG": "sg"}
-    rows = []
-    for q in qs:
-        qids = wb.queries(q)
-        for name, strat in name_to_strategy.items():
-            total = 0
-            for qid in qids:
-                _, comm = center.coverage_search(
-                    union[qid], delta, k, frozenset([qid]), strategy=strat
-                )
-                total += comm.total_bytes
-            from .params import BANDWIDTH_BYTES_PER_S
-
             rows.append(
                 {
                     "q": q,

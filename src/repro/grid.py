@@ -45,9 +45,6 @@ class Bounds:
         n = 1 << theta
         return self.width / n, self.height / n
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
 
 #: The whole-globe space used by default (lon/lat degrees), matching the
 #: paper's "divide the globe into a 2^theta x 2^theta grid" example.

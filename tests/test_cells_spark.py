@@ -6,7 +6,6 @@ import pytest
 from repro.cells import (
     cell_sets_df,
     cell_sets_from_pdf,
-    collect_cell_sets,
     with_cells,
 )
 from repro.grid import cell_ids_np
@@ -66,12 +65,3 @@ class TestCellSets:
             """,
             pts=points_pdf,
         )
-
-    def test_collect_cell_sets_equals_pdf_path(self, points_pdf, points_sdf):
-        a = collect_cell_sets(points_sdf, SPACE, THETA)
-        b = cell_sets_from_pdf(points_pdf, SPACE, THETA)
-        assert set(a) == set(b)
-        for src in a:
-            assert set(a[src]) == set(b[src])
-            for did in a[src]:
-                assert np.array_equal(a[src][did], b[src][did])

@@ -20,18 +20,17 @@ def _summary(name, x0, y0, x1, y1):
     rect = np.array([x0, y0, x1, y1], dtype=float)
     from repro.geometry import pivot_of_mbr, radius_of_mbr
 
-    return RootSummary(name, rect, pivot_of_mbr(rect), radius_of_mbr(rect), 12, 1, 0.1)
+    return RootSummary(name, rect, pivot_of_mbr(rect), radius_of_mbr(rect), 1)
 
 
 class TestRootSummary:
     def test_from_local_root_covers_cells(self, union_datasets):
         root = build_dits_l(union_datasets, THETA, 10)
-        s = RootSummary.from_local_root("x", root, SPACE, THETA, len(union_datasets))
-        nu, mu = SPACE.cell_size(THETA)
+        s = RootSummary.from_grid_rect("x", root.rect, SPACE, THETA, len(union_datasets))
+        nu, _ = SPACE.cell_size(THETA)
         # lon/lat rect covers the grid rect's full cells
         assert s.rect[0] == pytest.approx(SPACE.x0 + root.rect[0] * nu)
         assert s.rect[2] == pytest.approx(SPACE.x0 + (root.rect[2] + 1) * nu)
-        assert s.cell_deg == pytest.approx(max(nu, mu))
 
     def test_pivot_inside_rect(self):
         s = _summary("a", 0, 0, 10, 4)
@@ -92,7 +91,7 @@ class TestCandidateSources:
             name: build_dits_l(ds, THETA, 10) for name, ds in corpus.items() if ds
         }
         summaries = [
-            RootSummary.from_local_root(name, r, SPACE, THETA, 1)
+            RootSummary.from_grid_rect(name, r.rect, SPACE, THETA, 1)
             for name, r in roots.items()
         ]
         groot = build_global_index(summaries)

@@ -1,5 +1,5 @@
-"""The experiment harness itself: every figNN function produces the
-paper-shaped table (methods x parameter values) on a miniature corpus."""
+"""The experiment harness itself: every figure's table comes out
+paper-shaped (methods x parameter values) on a miniature corpus."""
 import hashlib
 
 import numpy as np
@@ -52,25 +52,27 @@ class TestTables:
         assert (df["build_s"] >= 0).all() and (df["memory_mb"] > 0).all()
 
     def test_fig9(self, wb):
-        df = E.fig9_overlap_vs_k(wb, ks=(1, 5), theta=10, f=4, q=3)
+        df = E.search_time_sweep(wb, "overlap", "k", (1, 5), theta=10, f=4, q=3)
         assert set(df["method"]) == OVERLAP_METHODS
         assert len(df) == 2 * 5
 
     def test_fig10(self, wb):
-        df = E.fig10_overlap_vs_theta(wb, thetas=(10, 11), f=4, k=3, q=3)
+        df = E.search_time_sweep(wb, "overlap", "theta", (10, 11), f=4, k=3, q=3)
         assert len(df) == 2 * 5
 
     def test_fig11(self, wb):
-        df = E.fig11_overlap_vs_q(wb, qs=(2, 4), theta=10, f=4, k=3)
+        df = E.search_time_sweep(wb, "overlap", "q", (2, 4), theta=10, f=4, k=3)
         assert len(df) == 2 * 5
 
     def test_fig12(self, wb):
-        df = E.fig12_overlap_vs_f(wb, fs=(4, 8), theta=10, k=3, q=3)
+        df = E.search_time_sweep(
+            wb, "overlap", "f", (4, 8), methods=("OverlapSearch", "Rtree"), theta=10, k=3, q=3
+        )
         assert set(df["method"]) == {"OverlapSearch", "Rtree"}
         assert len(df) == 2 * 2
 
     def test_fig13_14(self, wb):
-        df = E.fig13_14_overlap_comm(wb, qs=(2, 4), theta=10, f=4, k=3)
+        df = E.comm_sweep(wb, "overlap", (2, 4), theta=10, f=4, k=3)
         assert set(df["method"]) == OVERLAP_METHODS
         assert (df["kbytes"] > 0).all() and (df["transfer_s"] > 0).all()
         # strategies never transfer more than the naive broadcast
@@ -79,24 +81,24 @@ class TestTables:
             assert sub["OverlapSearch"] <= sub["STS3"]
 
     def test_fig15(self, wb):
-        df = E.fig15_coverage_vs_k(wb, ks=(1, 3), theta=10, f=4, q=2, delta=5)
+        df = E.search_time_sweep(wb, "coverage", "k", (1, 3), theta=10, f=4, q=2, delta=5)
         assert set(df["method"]) == COVERAGE_METHODS
         assert len(df) == 2 * 3
 
     def test_fig16(self, wb):
-        df = E.fig16_coverage_vs_theta(wb, thetas=(10, 11), f=4, q=2, k=2, delta=5)
+        df = E.search_time_sweep(wb, "coverage", "theta", (10, 11), f=4, q=2, k=2, delta=5)
         assert len(df) == 2 * 3
 
     def test_fig17(self, wb):
-        df = E.fig17_coverage_vs_q(wb, qs=(1, 2), theta=10, f=4, k=2, delta=5)
+        df = E.search_time_sweep(wb, "coverage", "q", (1, 2), theta=10, f=4, k=2, delta=5)
         assert len(df) == 2 * 3
 
     def test_fig18(self, wb):
-        df = E.fig18_coverage_vs_delta(wb, deltas=(0, 5), theta=10, f=4, k=2, q=2)
+        df = E.search_time_sweep(wb, "coverage", "delta", (0, 5), theta=10, f=4, k=2, q=2)
         assert len(df) == 2 * 3
 
     def test_fig19_20(self, wb):
-        df = E.fig19_20_coverage_comm(wb, qs=(1, 2), theta=10, f=4, k=2, delta=5)
+        df = E.comm_sweep(wb, "coverage", (1, 2), theta=10, f=4, k=2, delta=5)
         assert set(df["method"]) == COVERAGE_METHODS
         for q in (1, 2):
             sub = df[df["q"] == q].set_index("method")["kbytes"]
@@ -108,7 +110,17 @@ class TestTables:
         assert len(df) == 2 * 5
 
     def test_pivot_layout(self, wb):
-        df = E.fig9_overlap_vs_k(wb, ks=(1, 5), theta=10, f=4, q=2)
+        df = E.search_time_sweep(wb, "overlap", "k", (1, 5), theta=10, f=4, q=2)
         p = E.pivot_table(df, "k")
         assert list(p.columns) == [1, 5]
         assert set(p.index) == OVERLAP_METHODS
+
+
+@pytest.mark.parametrize("method", sorted(OVERLAP_METHODS | COVERAGE_METHODS))
+def test_empty_query_returns_nothing(method):
+    union = {1: np.array([0, 1, 2]), 2: np.array([2, 3, 40]), 3: np.array([100, 101])}
+    theta, empty, none = 6, np.empty(0, dtype=np.int64), frozenset()
+    if method in OVERLAP_METHODS:
+        assert E.make_overlap_searchers(union, theta, 2)[method](empty, 3, none) == []
+    else:
+        assert E.make_coverage_searchers(union, theta, 2)[method](empty, 5, 3, none) == []

@@ -77,10 +77,6 @@ class TestBounds:
         assert nu == pytest.approx(360.0 / (1 << theta))
         assert mu == pytest.approx(180.0 / (1 << theta))
 
-    def test_contains(self):
-        b = Bounds(0, 0, 10, 5)
-        assert b.contains(0, 0) and b.contains(10, 5) and not b.contains(11, 1)
-
     def test_paper_resolution_example(self):
         # Paper: a 2^12 grid over the globe -> cells ~10km x 5km
         nu, mu = WORLD.cell_size(12)
