@@ -3,7 +3,8 @@
 - **SG** (standard greedy, Hochbaum & Pathria extended to CJSP): every
   iteration scans *all* datasets, keeps those directly connected to the
   current result set (exact Def. 6 distances — no index), and picks the
-  maximum-marginal-gain one. O(k·n) scans with exact distance computations.
+  maximum-marginal-gain one. O(k·n) scans, each an O(|A|·|B|)
+  ``min_cell_distance`` over every cell pair.
 - **SG+DITS** uses DITS-L's ``find_connect_set`` to find connected
   candidates, but — unlike CoverageSearch — runs one tree search *per
   result-set member* per iteration instead of merging the result into a
@@ -24,7 +25,15 @@ from ..core.node import DatasetNode
 
 
 class SGCoverage:
-    """Index-free standard greedy for CJSP."""
+    """Index-free standard greedy for CJSP.
+
+    Its connectivity test stays the full O(|A|·|B|) ``min_cell_distance``
+    scan, not CoverageSearch's ``slab_probe``: SG is the paper's index-free
+    baseline of Figs 15-18 and the independent reference the differential
+    tests compare the index paths against. Given the probe, SG measured
+    faster than SG+DITS across Fig 18 on COV_WB, which flips the paper's
+    ordering of the two baselines.
+    """
 
     def __init__(self, datasets: dict[int, np.ndarray], theta: int):
         self.nodes = build_dataset_nodes(datasets, theta)
@@ -37,7 +46,7 @@ class SGCoverage:
         k: int,
         exclude: frozenset[int] = frozenset(),
     ) -> list[tuple[int, int]]:
-        covered = {int(c) for c in query_node.cells}
+        covered = query_node.cells
         merged_coords = query_node.coords
         taken: set[int] = set(exclude)
         result: list[tuple[int, int]] = []
@@ -53,10 +62,8 @@ class SGCoverage:
                 break
             result.append((best.id, tau))
             taken.add(best.id)
-            covered.update(int(c) for c in best.cells)
-            merged_coords = DatasetNode(
-                -1, np.fromiter(covered, dtype=np.int64), self.theta
-            ).coords
+            covered = np.union1d(covered, best.cells)
+            merged_coords = DatasetNode(-1, covered, self.theta).coords
         return result
 
 
@@ -76,7 +83,7 @@ class SGDitsCoverage:
     ) -> list[tuple[int, int]]:
         from ..core.coverage import find_connect_set
 
-        covered = {int(c) for c in query_node.cells}
+        covered = query_node.cells
         members: list[DatasetNode] = [query_node]
         taken: set[int] = set(exclude)
         result: list[tuple[int, int]] = []
@@ -92,6 +99,6 @@ class SGDitsCoverage:
                 break
             result.append((best.id, tau))
             taken.add(best.id)
-            covered.update(int(c) for c in best.cells)
+            covered = np.union1d(covered, best.cells)
             members.append(best)
         return result

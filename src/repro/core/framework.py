@@ -27,7 +27,8 @@ Query-distribution strategies (the knobs behind Figs 13/14, 19/20):
 Local CJSP selection strategies mirror the paper's three competitors:
 ``"merge"`` (CoverageSearch: one index search on the merged node),
 ``"sg_dits"`` (index-accelerated greedy, full query sent), and ``"sg"``
-(index-free exact scan, full query broadcast to all sources).
+(index-free scan of every dataset with one slab probe, full query
+broadcast to all sources).
 
 All sources share the center's grid, and a dataset ID names one dataset
 in one source: results are keyed by dataset ID alone.
@@ -40,9 +41,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from ..comm import CELL_BYTES, ID_BYTES, RESULT_ROW_BYTES, SCALAR_BYTES, CommLog
-from ..geometry import min_cell_distance
 from ..grid import Bounds, cells_to_lonlat_center, check_cells
-from .coverage import _pick_best, find_connect_set
+from .coverage import _pick_best, find_connect_set, slab_probe
 from .dits_global import GlobalNode, RootSummary, build_global_index, candidate_sources
 from .dits_local import iter_dataset_nodes
 from .node import DatasetNode
@@ -206,13 +206,9 @@ class DataSource:
             cands: list[DatasetNode] = []
             find_connect_set(self.index.root, merged, delta, cands)
         else:
-            cands = [
-                nd
-                for nd in iter_dataset_nodes(self.index.root)
-                if min_cell_distance(merged.coords, nd.coords) <= delta
-            ]
-        covered = {int(c) for c in covered_cells}
-        best, tau = _pick_best(cands, covered, taken)
+            connected = slab_probe(merged.coords, delta)
+            cands = [nd for nd in iter_dataset_nodes(self.index.root) if connected(nd)]
+        best, tau = _pick_best(cands, merged.cells, taken)
         if best is None:
             return None
         return best.id, tau, best.cells

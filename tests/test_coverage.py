@@ -1,6 +1,10 @@
 """CoverageSearch (Algorithm 3), connectivity, and the greedy baselines."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.coverage import (
     coverage_of,
@@ -8,6 +12,7 @@ from repro.core.coverage import (
     find_connect_set,
     is_connected_result,
     marginal_gain,
+    slab_probe,
 )
 from repro.core.dits_local import build_dits_l, iter_dataset_nodes
 from repro.core.node import DatasetNode
@@ -33,10 +38,15 @@ def _random_datasets(seed, n, theta=8, cells_per=10):
 
 class TestMarginalGain:
     def test_gain_counts_new_cells(self):
-        assert marginal_gain(np.array([1, 2, 3]), {2}) == 2
+        assert marginal_gain(np.array([1, 2, 3]), np.array([2])) == 2
 
     def test_gain_zero_when_subset(self):
-        assert marginal_gain(np.array([1, 2]), {1, 2, 3}) == 0
+        assert marginal_gain(np.array([1, 2]), np.array([1, 2, 3])) == 0
+
+    def test_gain_counts_duplicates_and_ends(self):
+        covered = np.array([3, 5, 9], dtype=np.int64)
+        assert marginal_gain(np.array([0, 3, 3, 4, 9, 12, 12]), covered) == 4
+        assert marginal_gain(np.array([7, 7]), np.empty(0, dtype=np.int64)) == 2
 
     def test_coverage_of(self):
         ds = {1: np.array([4, 5])}
@@ -45,7 +55,7 @@ class TestMarginalGain:
 
 class TestFindConnectSet:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("delta", [0, 2, 5])
+    @pytest.mark.parametrize("delta", [0, 1.5, 2, 5, 20])
     def test_equals_exact_scan(self, seed, delta):
         ds = _random_datasets(seed, 50)
         root = build_dits_l(ds, 8, 5)
@@ -69,6 +79,60 @@ class TestFindConnectSet:
         found = []
         find_connect_set(root, qn, 0, found)
         assert sorted(nd.id for nd in found) == [0]
+
+
+def _node(points, theta=5):
+    xs, ys = np.array(points).T
+    return DatasetNode(0, z_encode_np(xs, ys, theta), theta)
+
+
+_points = st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)), min_size=1, max_size=12)
+_deltas = st.one_of(
+    st.sampled_from([0, 0.5, 1, 1.5, math.sqrt(2), 2, 3, 5, 20]),
+    st.floats(0, 40, allow_nan=False),
+)
+
+
+class TestSlabProbe:
+    """``slab_probe`` answers exactly what the full scan answers."""
+
+    @given(a=_points, b=_points, delta=_deltas)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_equals_full_scan(self, a, b, delta):
+        qa, qb = _node(a), _node(b)
+        assert slab_probe(qa.coords, delta)(qb) == (
+            min_cell_distance(qa.coords, qb.coords) <= delta
+        )
+
+    @pytest.mark.parametrize(
+        "dx, dy, delta",
+        [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, math.sqrt(2)), (2, 0, 2),
+         (0, 3, 3), (3, 4, 5), (4, 3, 5), (20, 0, 20), (12, 16, 20), (0, 20, 20)],
+    )
+    def test_boundary_is_inclusive(self, dx, dy, delta):
+        # One pair exactly delta apart, in either order, with far-away
+        # company on both sides: connected at delta, not just below it.
+        a = _node([(4, 4), (63, 0)], theta=6)
+        b = _node([(4 + dx, 4 + dy), (0, 63)], theta=6)
+        assert slab_probe(a.coords, delta)(b)
+        assert slab_probe(b.coords, delta)(a)
+        below = np.nextafter(delta, -1.0)
+        if below >= 0:
+            assert not slab_probe(a.coords, below)(b)
+            assert not slab_probe(b.coords, below)(a)
+
+    def test_one_point_sets(self):
+        a, b = _node([(7, 7)]), _node([(9, 8)])
+        assert not slab_probe(a.coords, 2)(b)
+        assert slab_probe(a.coords, math.sqrt(5))(b)
+        assert slab_probe(a.coords, 0)(_node([(7, 7)]))
+
+    def test_disjoint_far_sets(self):
+        a = _node([(0, 0), (1, 0), (0, 1)])
+        b = _node([(30, 30), (31, 31), (30, 31)])
+        assert not slab_probe(a.coords, 20)(b)
+        assert not slab_probe(b.coords, 20)(a)
+        assert slab_probe(a.coords, math.sqrt(29**2 + 30**2))(b)
 
 
 class TestConnectivityCheck:
